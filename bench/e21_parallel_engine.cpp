@@ -1,18 +1,18 @@
 // E21 — Sharded parallel round engine: throughput, speedup, determinism.
 //
 // Drives the *engine-level* parallelism added with qoslb::Engine (PR 2): the
-// round's decide phase fans user shards out over a thread pool, each user
+// round's decide phase fans user shards out over a worker pool, each user
 // drawing from a Philox substream keyed by (master seed, round, user), and
 // the commit merges shard buffers in shard order. Results are therefore a
-// pure function of the config — bit-identical for every thread count AND
-// execution policy, including the forced-single-worker kSequential row —
-// which this bench verifies via an FNV-1a hash of the final assignment while
-// timing users/sec per thread count.
+// pure function of the config — bit-identical for every thread count,
+// including the inline single-thread `sequential` row — which this bench
+// verifies via an FNV-1a hash of the final assignment while timing
+// users/sec per thread count.
 //
 // Acceptance target on a multi-core host: >= 2x users/sec at 4+ threads vs
 // the sharded 1-thread run at n=1e6, m=1e4. On a single-core host the table
-// quantifies pure threading overhead instead of speedup (cf. e16); the
-// determinism check is equally meaningful there.
+// quantifies pure threading overhead instead of speedup; the determinism
+// check is equally meaningful there.
 //
 // Knobs: --n, --m (default n/100), --rounds (round cap), --threads=1,2,4,8,
 // plus the common --reps/--seed/--csv. Writes BENCH_parallel.json. Each
@@ -78,9 +78,8 @@ int main(int argc, char** argv) {
   // Every run gets the same uniform-sampling workload from the same
   // adversarial start; a fresh Xoshiro per run pins the sharded master seed,
   // so the final assignment must hash identically for every thread count.
-  const auto run_once = [&](RoundExecution execution, std::size_t threads,
-                            double& seconds, std::uint64_t& rounds,
-                            std::uint64_t& hash) {
+  const auto run_once = [&](std::size_t threads, double& seconds,
+                            std::uint64_t& rounds, std::uint64_t& hash) {
     State state = State::all_on(instance, 0);
     ProtocolSpec spec;
     spec.kind = "uniform";
@@ -88,7 +87,6 @@ int main(int argc, char** argv) {
     const auto protocol = make_protocol(spec);
     EngineConfig config;
     config.max_rounds = rounds_cap;
-    config.execution = execution;
     config.threads = threads;
     Xoshiro256 rng(common.seed);
     obs::Stopwatch watch;
@@ -124,39 +122,37 @@ int main(int argc, char** argv) {
         .field("assignment_hash", static_cast<unsigned long long>(hash));
   };
 
-  // Sequential reference: the same step_users round path forced onto a
-  // single inline worker. Since the per-(seed, round, user) re-keying this
-  // is the *same realization* as every sharded run, so its hash joins the
+  // Sequential reference: the threads = 1 run, whose decide fan-out stays
+  // inline on this thread. The per-(seed, round, user) keying makes it the
+  // *same realization* as every sharded run, so its hash joins the
   // determinism check below.
   double t1_seconds = 0.0;
   std::uint64_t reference_hash = 0;
   bool deterministic = true;
   bool scaling_ok = true;
-  const auto best_of_reps = [&](RoundExecution execution, std::size_t threads,
-                                std::uint64_t& rounds, std::uint64_t& hash) {
+  const auto best_of_reps = [&](std::size_t threads, std::uint64_t& rounds,
+                                std::uint64_t& hash) {
     double best_seconds = 1e100;
     // One untimed warmup: touches every instance/state page and, for the
     // sharded path, pays the one-off worker spawn outside the timed reps.
     double seconds;
-    run_once(execution, threads, seconds, rounds, hash);
+    run_once(threads, seconds, rounds, hash);
     for (std::size_t rep = 0; rep < common.reps; ++rep) {
-      run_once(execution, threads, seconds, rounds, hash);
+      run_once(threads, seconds, rounds, hash);
       best_seconds = std::min(best_seconds, seconds);
     }
     return best_seconds;
   };
   {
     std::uint64_t rounds = 0, hash = 0;
-    const double best_seconds =
-        best_of_reps(RoundExecution::kSequential, 1, rounds, hash);
+    const double best_seconds = best_of_reps(1, rounds, hash);
     reference_hash = hash;
     emit_row("sequential", 1, rounds, best_seconds, 1.0, hash);
   }
   for (const long long threads : thread_counts) {
     std::uint64_t rounds = 0, hash = 0;
-    const double best_seconds = best_of_reps(
-        RoundExecution::kSharded, static_cast<std::size_t>(threads), rounds,
-        hash);
+    const double best_seconds =
+        best_of_reps(static_cast<std::size_t>(threads), rounds, hash);
     if (threads == thread_counts.front()) t1_seconds = best_seconds;
     deterministic = deterministic && hash == reference_hash;
     // Scaling gate: a t>1 run the host can genuinely parallelize must beat
@@ -175,7 +171,7 @@ int main(int argc, char** argv) {
                     ? "\ndeterminism: sequential and all sharded thread counts "
                       "produced the same final assignment\n"
                     : "\ndeterminism: FAILED — assignment hash differs across "
-                      "execution policies or thread counts\n");
+                      "thread counts\n");
   if (!scaling_ok)
     std::cout << "scaling: FAILED — a sharded t>1 run within hardware "
                  "concurrency was no faster than sharded t=1\n";

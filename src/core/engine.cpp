@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -15,8 +16,7 @@
 #include "obs/perf_counters.hpp"
 #include "obs/trace_sink.hpp"
 #include "rng/splitmix64.hpp"
-#include "sim/parallel_round_engine.hpp"
-#include "sim/round_engine.hpp"
+#include "sim/worker_pool.hpp"
 #include "util/check.hpp"
 
 namespace qoslb {
@@ -127,33 +127,7 @@ class ScopedPerf {
   obs::PerfSample start_;
 };
 
-/// (after - before) - (claimed1 - claimed0), per counter, saturating at
-/// zero: the step share of a whole-round reading net of what the commit
-/// phase already attributed — the hardware-counter twin of the round-wall
-/// minus commit-bucket clock subtraction in drive_step_users.
-obs::PerfSample perf_step_share(const obs::PerfSample& before,
-                                const obs::PerfSample& after,
-                                const obs::PerfSample& claimed0,
-                                const obs::PerfSample& claimed1) {
-  const auto share = [](std::uint64_t b, std::uint64_t a, std::uint64_t c0,
-                        std::uint64_t c1) -> std::uint64_t {
-    const std::uint64_t total = a > b ? a - b : 0;
-    const std::uint64_t claimed = c1 > c0 ? c1 - c0 : 0;
-    return total > claimed ? total - claimed : 0;
-  };
-  obs::PerfSample out;
-  out.cycles = share(before.cycles, after.cycles, claimed0.cycles,
-                     claimed1.cycles);
-  out.instructions = share(before.instructions, after.instructions,
-                           claimed0.instructions, claimed1.instructions);
-  out.cache_misses = share(before.cache_misses, after.cache_misses,
-                           claimed0.cache_misses, claimed1.cache_misses);
-  out.branch_misses = share(before.branch_misses, after.branch_misses,
-                            claimed0.branch_misses, claimed1.branch_misses);
-  return out;
-}
-
-/// Per-round migration-flow aggregates, tallied by UserSetRoundTask::commit
+/// Per-round migration-flow aggregates, tallied by ShardedRound::commit
 /// from the shard-ordered request list (so every field is
 /// thread/mode/layout-invariant) and turned into a DiagRow + detector
 /// verdict by TelemetryDriver::decision_round.
@@ -334,84 +308,39 @@ class TelemetryDriver {
   std::uint64_t pending_active_ = 0;
 };
 
-/// Classic sequential driver (the former runner.cpp ProtocolTask) for
-/// protocols that only implement step(): one step() per round, the
-/// stability check on the fast path (all satisfied) every round and on the
-/// period otherwise. All satisfaction reads go through the state's O(1)
-/// tracked counter — the engine enables tracking before driving the task,
-/// which also removed the historical duplicate O(n) recount around round 0.
-class SequentialTask : public RoundTask {
+/// One step_users() round over an explicit iteration list (all users in
+/// dense mode, the sorted unsatisfied set in active mode), in two halves.
+/// decide() fans a fixed shard partition — it depends only on shard_size
+/// and the list length, never on the worker count — out over the pool
+/// (inline without one), each shard writing only its own buffer and
+/// counters; commit() merges both in shard order on the driving thread. So
+/// the outcome is independent of which worker executed which shard, and
+/// the per-user substreams make it independent of the partition too.
+class ShardedRound {
  public:
-  SequentialTask(Protocol& protocol, State& state, Xoshiro256& rng,
-                 const EngineConfig& config, EngineResult& result,
-                 TelemetryDriver& telemetry)
-      : protocol_(&protocol), state_(&state), rng_(&rng), config_(&config),
-        result_(&result), telemetry_(&telemetry) {}
+  ShardedRound(Protocol& protocol, State& state, Counters& counters,
+               std::size_t shard_size, RoundWorkerPool* pool)
+      : protocol_(&protocol), state_(&state), counters_(&counters),
+        shard_size_(shard_size), pool_(pool) {}
 
-  void round(std::uint64_t round_index) override {
-    (void)round_index;
-    {
-      obs::ScopedPhase phase(telemetry_->clock(), telemetry_->timers(),
-                             obs::Phase::kStep);
-      ScopedPerf perf(telemetry_->perf(), telemetry_->phase_perf(),
-                      obs::Phase::kStep);
-      protocol_->step(*state_, *rng_, result_->counters);
-    }
-    ++result_->counters.rounds;
-    if (config_->record_trajectory)
-      result_->unsatisfied_trajectory.push_back(
-          static_cast<std::uint32_t>(state_->count_unsatisfied()));
-    ++rounds_done_;
-    if (config_->invariant_check_period != 0 &&
-        rounds_done_ % config_->invariant_check_period == 0)
-      state_->check_invariants();
-    // step() scans every user, so the round's active size is n.
-    telemetry_->round_row(rounds_done_, *state_, state_->num_users());
+  /// Turns on per-shard decision recording and round-flow diagnostics.
+  void enable_decisions(std::uint64_t sample_seed, std::uint64_t sample_every) {
+    decisions_on_ = true;
+    sample_seed_ = sample_seed;
+    sample_every_ = sample_every;
   }
 
-  bool converged() const override {
-    obs::ScopedPhase phase(telemetry_->clock(), telemetry_->timers(),
-                           obs::Phase::kSatisfactionCheck);
-    ScopedPerf perf(telemetry_->perf(), telemetry_->phase_perf(),
-                    obs::Phase::kSatisfactionCheck);
-    // Fast path: full satisfaction implies stability for the satisfaction
-    // protocols and is cheap to confirm for the others.
-    if (state_->count_satisfied() == state_->num_users())
-      return protocol_->is_stable(*state_);
-    if (rounds_done_ % config_->stability_check_period == 0)
-      return protocol_->is_stable(*state_);
-    return false;
+  const std::vector<DecisionScratch>& decision_shards() const {
+    return decision_shards_;
   }
+  const RoundDiagData& round_diag() const { return diag_; }
 
- private:
-  Protocol* protocol_;
-  State* state_;
-  Xoshiro256* rng_;
-  const EngineConfig* config_;
-  EngineResult* result_;
-  TelemetryDriver* telemetry_;
-  std::uint64_t rounds_done_ = 0;
-};
-
-/// Binds Protocol::step_users/commit_round to the sharded round engine over
-/// an explicit iteration list (all users in dense mode, the sorted
-/// unsatisfied set in active mode): the decide fan-out writes into
-/// per-shard buffers and per-shard counters, the commit merges both in
-/// shard order — so the outcome is independent of which worker executed
-/// which shard. Randomness comes from the round's per-user substreams, so
-/// it is independent of the shard partition too.
-class UserSetRoundTask : public ShardedRoundTask {
- public:
-  UserSetRoundTask(Protocol& protocol, State& state, Counters& counters)
-      : protocol_(&protocol), state_(&state), counters_(&counters) {}
-
-  void set_round(const std::vector<UserId>& users, const RoundRng& streams) {
-    users_ = &users;
-    streams_ = streams;
-  }
-
-  void begin_round(std::size_t num_shards) override {
+  /// Snapshots the round-boundary loads, then runs step_users() on every
+  /// shard of `users`; returns once all shards have.
+  void decide(const std::vector<UserId>& users, const RoundRng& streams) {
     snapshot_ = state_->loads();
+    const std::size_t num_shards = std::max<std::size_t>(
+        1, (users.size() + shard_size_ - 1) / shard_size_);
     // Reuse the staging buffers' capacity across rounds: clear the vectors
     // in place instead of destroying them, so steady-state rounds allocate
     // nothing in the fan-out path.
@@ -432,43 +361,22 @@ class UserSetRoundTask : public ShardedRoundTask {
       }
     }
     shard_counters_.assign(num_shards, Counters{});
+    const auto run_shard = [&](std::size_t s) {
+      const std::size_t begin = s * shard_size_;
+      const std::size_t end = std::min(users.size(), begin + shard_size_);
+      protocol_->step_users(*state_, snapshot_, users.data() + begin,
+                            end - begin, shards_[s], streams,
+                            shard_counters_[s]);
+    };
+    if (pool_ != nullptr) {
+      pool_->run(num_shards, run_shard);
+    } else {
+      for (std::size_t s = 0; s < num_shards; ++s) run_shard(s);
+    }
   }
 
-  void decide(std::size_t shard, std::size_t begin, std::size_t end,
-              PhiloxEngine& rng) override {
-    (void)rng;  // superseded by the per-user streams in streams_
-    protocol_->step_users(*state_, snapshot_, users_->data() + begin,
-                          end - begin, shards_[shard], streams_,
-                          shard_counters_[shard]);
-  }
-
-  /// Phase-timer and perf-counter hookup (driving thread only; null clock
-  /// and null perf = no reads).
-  void set_telemetry(const obs::Clock* clock, obs::PhaseTimers* timers,
-                     obs::PerfCounters* perf, obs::PhasePerf* phase_perf) {
-    clock_ = clock;
-    timers_ = timers;
-    perf_ = perf;
-    phase_perf_ = phase_perf;
-  }
-
-  /// Turns on per-shard decision recording and round-flow diagnostics.
-  void enable_decisions(std::uint64_t sample_seed, std::uint64_t sample_every) {
-    decisions_on_ = true;
-    sample_seed_ = sample_seed;
-    sample_every_ = sample_every;
-  }
-
-  const std::vector<DecisionScratch>& decision_shards() const {
-    return decision_shards_;
-  }
-  const RoundDiagData& round_diag() const { return diag_; }
-
-  void commit() override {
-    // commit() runs on the caller thread after the decide fan-out joined,
-    // so timing it here races with nothing.
-    obs::ScopedPhase phase(clock_, timers_, obs::Phase::kCommit);
-    ScopedPerf perf(perf_, phase_perf_, obs::Phase::kCommit);
+  /// Applies the round decided last. Driving thread only.
+  void commit() {
     for (const Counters& shard : shard_counters_) *counters_ += shard;
     if (!decisions_on_) {
       protocol_->commit_round(*state_, shards_, *counters_);
@@ -513,12 +421,8 @@ class UserSetRoundTask : public ShardedRoundTask {
   Protocol* protocol_;
   State* state_;
   Counters* counters_;
-  const obs::Clock* clock_ = nullptr;
-  obs::PhaseTimers* timers_ = nullptr;
-  obs::PerfCounters* perf_ = nullptr;
-  obs::PhasePerf* phase_perf_ = nullptr;
-  const std::vector<UserId>* users_ = nullptr;
-  RoundRng streams_;
+  std::size_t shard_size_;
+  RoundWorkerPool* pool_;
   std::vector<int> snapshot_;
   std::vector<MigrationBuffer> shards_;
   std::vector<Counters> shard_counters_;
@@ -563,8 +467,9 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
 
 EngineResult Engine::run(Protocol& protocol, State& state,
                          Xoshiro256& rng) const {
-  // Churn and checkpointing live in the sharded round loop only; the
-  // sequential step() path has no round-boundary hook to apply them at.
+  // step() protocols can take neither churn nor checkpoints: some draw raw
+  // resource ids that may be dead (cached), and a checkpoint would have to
+  // carry the caller's Xoshiro256 state, which it does not.
   QOSLB_REQUIRE(!config_.churn.any() || protocol.supports_step_users(),
                 "churn plans need a sharded (step_users) protocol");
   QOSLB_REQUIRE(config_.snapshot_rounds.empty() ||
@@ -580,38 +485,17 @@ EngineResult Engine::run(Protocol& protocol, State& state,
   // O(1) per-round satisfaction reads on every path; the build is O(n log n)
   // once and idempotent across chained runs on the same state.
   state.enable_satisfaction_tracking();
-  if (protocol.supports_step_users())
-    return run_step_users(protocol, state, rng);
-  return run_sequential(protocol, state, rng);
-}
-
-EngineResult Engine::run_sequential(Protocol& protocol, State& state,
-                                    Xoshiro256& rng) const {
-  EngineResult result;
-  TelemetryDriver telemetry(config_.telemetry, result, protocol, state,
-                            config_.seed, /*threads=*/1, "sequential");
-  telemetry.round_row(0, state, 0);
-  SequentialTask task(protocol, state, rng, config_, result, telemetry);
-  const RoundRunResult rounds = run_rounds(task, config_.max_rounds);
-  result.rounds = rounds.rounds;
-  result.converged = rounds.converged;
-  result.termination =
-      rounds.converged ? Termination::kConverged : Termination::kRoundCap;
-  result.final_satisfied = state.count_satisfied();
-  result.all_satisfied = result.final_satisfied == state.num_users();
-  result.threads_used = 1;
-  telemetry.finish(state);
-  return result;
-}
-
-EngineResult Engine::run_step_users(Protocol& protocol, State& state,
-                                    Xoshiro256& rng) const {
-  // Fold one draw of the caller's RNG into the master seed so replications
-  // that advance that RNG (the established seeding idiom) stay distinct
-  // while (config, rng state) still pins the run exactly. The folded value
-  // is what a checkpoint stores — resume() reuses it without re-folding.
-  return drive_step_users(protocol, state, derive_seed(config_.seed, rng()),
-                          /*start_round=*/0, Counters{}, ChurnTracker{});
+  // step_users() protocols fold one draw of the caller's RNG into the master
+  // seed so replications that advance that RNG (the established seeding
+  // idiom) stay distinct while (config, rng state) still pins the run
+  // exactly. The folded value is what a checkpoint stores — resume() reuses
+  // it without re-folding. step() protocols draw from `rng` every round
+  // instead and take no fold draw.
+  const std::uint64_t master_seed = protocol.supports_step_users()
+                                        ? derive_seed(config_.seed, rng())
+                                        : config_.seed;
+  return drive(protocol, state, &rng, master_seed, /*start_round=*/0,
+               Counters{}, ChurnTracker{});
 }
 
 namespace {
@@ -662,48 +546,50 @@ void apply_churn_event(const ChurnEvent& event, State& state,
 
 }  // namespace
 
-EngineResult Engine::drive_step_users(Protocol& protocol, State& state,
-                                      std::uint64_t master_seed,
-                                      std::uint64_t start_round,
-                                      Counters start_counters,
-                                      ChurnTracker tracker) const {
+EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
+                           std::uint64_t master_seed,
+                           std::uint64_t start_round, Counters start_counters,
+                           ChurnTracker tracker) const {
   config_.churn.validate(state.num_resources());
   EngineResult result;
   result.counters = start_counters;
   result.rounds = start_round;
   const std::size_t n = state.num_users();
 
-  ParallelRoundEngine::Options options;
-  options.threads =
-      config_.execution == RoundExecution::kSequential ? 1 : config_.threads;
-  options.shard_size = config_.shard_size;
-  options.seed = master_seed;
-  ParallelRoundEngine engine(options);
-  UserSetRoundTask task(protocol, state, result.counters);
-
+  // The round body, fixed for the run: the sharded decide fan-out plus
+  // commit_round() for step_users() protocols, one step() on the caller's
+  // RNG for the rest. Only the former may use worker threads.
+  const bool sharded = protocol.supports_step_users();
   // Active mode iterates only the unsatisfied set; protocols whose
   // satisfied users do act (berenbrink) keep the dense scan regardless.
-  const bool active =
-      config_.mode == EngineMode::kActive && protocol.active_set_compatible();
+  const bool active = sharded && config_.mode == EngineMode::kActive &&
+                      protocol.active_set_compatible();
+  std::unique_ptr<RoundWorkerPool> pool;
+  if (sharded && config_.threads != 1)
+    pool = std::make_unique<RoundWorkerPool>(config_.threads);
+  result.threads_used = pool != nullptr ? pool->participants() : 1;
+  ShardedRound round(protocol, state, result.counters, config_.shard_size,
+                     pool.get());
   std::vector<UserId> iteration;
-  if (!active) {
+  if (sharded && !active) {
     iteration.resize(n);
     std::iota(iteration.begin(), iteration.end(), UserId{0});
   }
 
   TelemetryDriver telemetry(config_.telemetry, result, protocol, state,
-                            options.seed, engine.threads(),
-                            active ? "active" : "dense");
-  const obs::Clock* clock = config_.telemetry.clock;
-  obs::PhaseTimers* timers = &result.telemetry.phases;
-  obs::PerfCounters* perf =
-      result.telemetry.perf_available ? config_.telemetry.perf : nullptr;
-  obs::PhasePerf* phase_perf = &result.telemetry.perf;
-  task.set_telemetry(clock, timers, perf, phase_perf);
+                            master_seed, result.threads_used,
+                            !sharded ? "sequential"
+                            : active ? "active"
+                                     : "dense");
+  const obs::Clock* clock = telemetry.clock();
+  obs::PhaseTimers* timers = telemetry.timers();
+  obs::PerfCounters* perf = telemetry.perf();
+  obs::PhasePerf* phase_perf = telemetry.phase_perf();
   // The decision sample key is the run's master seed — the same value a
   // checkpoint stores — so a resumed run samples the same users.
-  if (telemetry.decisions_on())
-    task.enable_decisions(master_seed, telemetry.decision_sample());
+  const bool trace_decisions = sharded && telemetry.decisions_on();
+  if (trace_decisions)
+    round.enable_decisions(master_seed, telemetry.decision_sample());
   telemetry.round_row(0, state, 0);
 
   // Already-applied schedule entries (rounds before start_round) are part of
@@ -716,17 +602,17 @@ EngineResult Engine::drive_step_users(Protocol& protocol, State& state,
   while (snap_idx < config_.snapshot_rounds.size() &&
          config_.snapshot_rounds[snap_idx] < start_round)
     ++snap_idx;
-  const auto pending_churn = [&] { return churn_idx < events.size(); };
 
-  std::uint64_t rounds_done = start_round;
   const auto converged = [&] {
     // A run with unapplied churn events is never done — the schedule must
     // play out (and the system re-converge) first.
-    if (pending_churn()) return false;
+    if (churn_idx < events.size()) return false;
     obs::ScopedPhase phase(clock, timers, obs::Phase::kSatisfactionCheck);
     ScopedPerf perf_scope(perf, phase_perf, obs::Phase::kSatisfactionCheck);
+    // Fast path: full satisfaction implies stability for the satisfaction
+    // protocols and is cheap to confirm for the others.
     if (state.count_satisfied() == n) return protocol.is_stable(state);
-    if (rounds_done % config_.stability_check_period == 0)
+    if (result.rounds % config_.stability_check_period == 0)
       return protocol.is_stable(state);
     return false;
   };
@@ -756,52 +642,34 @@ EngineResult Engine::drive_step_users(Protocol& protocol, State& state,
                          state.unsatisfied_view().end());
         std::sort(iteration.begin(), iteration.end());
       }
-      task.set_round(iteration, RoundRng(options.seed, r));
-      // Mirror the clock's subtraction for the hardware counters: whole-
-      // round reading minus what commit() already claimed is the step share.
-      const obs::PerfSample perf_commit0 =
-          perf != nullptr ? (*phase_perf)[obs::Phase::kCommit]
-                          : obs::PerfSample{};
-      const obs::PerfSample perf_before =
-          perf != nullptr ? perf->read() : obs::PerfSample{};
-      if (clock != nullptr) {
-        // The decide fan-out joins inside round() and commit() runs on this
-        // thread, so round-wall minus the commit's own bucket delta is the
-        // decide (step) time — no per-worker clock reads needed.
-        const double commit_before =
-            (*timers)[obs::Phase::kCommit].seconds;
-        const double start = clock->now();
-        engine.round(task, iteration.size(), r);
-        const double elapsed = clock->now() - start;
-        timers->add(obs::Phase::kStep,
-                    elapsed - ((*timers)[obs::Phase::kCommit].seconds -
-                               commit_before));
-      } else {
-        engine.round(task, iteration.size(), r);
+      {
+        obs::ScopedPhase phase(clock, timers, obs::Phase::kStep);
+        ScopedPerf perf_scope(perf, phase_perf, obs::Phase::kStep);
+        if (sharded)
+          round.decide(iteration, RoundRng(master_seed, r));
+        else
+          protocol.step(state, *rng, result.counters);
       }
-      if (perf != nullptr) {
-        const obs::PerfSample share = perf_step_share(
-            perf_before, perf->read(), perf_commit0,
-            (*phase_perf)[obs::Phase::kCommit]);
-        (*phase_perf)[obs::Phase::kStep].cycles += share.cycles;
-        (*phase_perf)[obs::Phase::kStep].instructions += share.instructions;
-        (*phase_perf)[obs::Phase::kStep].cache_misses += share.cache_misses;
-        (*phase_perf)[obs::Phase::kStep].branch_misses += share.branch_misses;
+      if (sharded) {
+        obs::ScopedPhase phase(clock, timers, obs::Phase::kCommit);
+        ScopedPerf perf_scope(perf, phase_perf, obs::Phase::kCommit);
+        round.commit();
       }
       ++result.counters.rounds;
       ++result.rounds;
-      ++rounds_done;
-      if (telemetry.decisions_on())
-        telemetry.decision_round(rounds_done, state, task.decision_shards(),
-                                 task.round_diag());
-      tracker.on_round_end(rounds_done, state.count_satisfied(), n);
+      if (trace_decisions)
+        telemetry.decision_round(result.rounds, state, round.decision_shards(),
+                                 round.round_diag());
+      tracker.on_round_end(result.rounds, state.count_satisfied(), n);
       if (config_.record_trajectory)
         result.unsatisfied_trajectory.push_back(
             static_cast<std::uint32_t>(n - state.count_satisfied()));
       if (config_.invariant_check_period != 0 &&
-          rounds_done % config_.invariant_check_period == 0)
+          result.rounds % config_.invariant_check_period == 0)
         state.check_invariants();
-      telemetry.round_row(rounds_done, state, iteration.size());
+      // step() may touch every user, so its round's active size is n.
+      telemetry.round_row(result.rounds, state,
+                          sharded ? iteration.size() : n);
       if (converged()) {
         result.converged = true;
         break;
@@ -813,7 +681,6 @@ EngineResult Engine::drive_step_users(Protocol& protocol, State& state,
       result.converged ? Termination::kConverged : Termination::kRoundCap;
   result.final_satisfied = state.count_satisfied();
   result.all_satisfied = result.final_satisfied == n;
-  result.threads_used = engine.threads();
   result.churn = tracker.stats;
   telemetry.finish(state);
   return result;
@@ -857,9 +724,8 @@ EngineResult Engine::resume(Protocol& protocol, const SnapshotV1& snapshot,
   std::istringstream protocol_state(snapshot.protocol_state);
   protocol.snapshot_read(protocol_state);
   state.enable_satisfaction_tracking();
-  return drive_step_users(protocol, state, snapshot.master_seed,
-                          snapshot.next_round, snapshot.counters,
-                          snapshot.churn);
+  return drive(protocol, state, /*rng=*/nullptr, snapshot.master_seed,
+               snapshot.next_round, snapshot.counters, snapshot.churn);
 }
 
 EngineResult Engine::run(WeightedProtocol& protocol, WeightedState& state,

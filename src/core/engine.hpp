@@ -27,17 +27,6 @@ enum class Termination : std::uint8_t {
   kEventCap,   // async: max_events deliveries happened first (best-effort)
 };
 
-/// How the synchronous round loop executes. Since the per-user stream
-/// re-keying (docs/performance.md) every policy produces the same
-/// realization for step_users() protocols; the policy only picks the worker
-/// count. Protocols without step_users() always take the classic
-/// caller-RNG-driven step() path.
-enum class RoundExecution : std::uint8_t {
-  kAuto,        // config().threads workers (1 = inline serial)
-  kSequential,  // force a single inline worker
-  kSharded,     // same as kAuto (kept for source compatibility)
-};
-
 /// Which users a synchronous round iterates (the PR 3 tentpole).
 enum class EngineMode : std::uint8_t {
   /// Scan all n users every round — the classic engine.
@@ -62,23 +51,25 @@ struct EngineConfig {
   bool record_trajectory = false;  // qoslb-snapshot: transient
 
   // --- sharded execution (see docs/engine.md, docs/performance.md) ---
-  RoundExecution execution = RoundExecution::kAuto;  // qoslb-snapshot: transient
   /// Dense or active-set round iteration (see EngineMode).
   EngineMode mode = EngineMode::kDense;  // qoslb-snapshot: transient
-  /// Worker threads for the sharded path: 0 = hardware concurrency,
-  /// 1 = single worker. With kAuto, threads == 1 keeps the sequential path.
+  /// Workers for the decide fan-out of step_users() protocols: 0 = hardware
+  /// concurrency, 1 = inline on the calling thread (no pool). Every count
+  /// gives the same realization; step() protocols always run inline.
   std::size_t threads = 1;  // qoslb-snapshot: transient
   /// Users per shard. The shard partition is fixed (independent of the
   /// thread count), which is what makes sharded results thread-invariant —
   /// and per-user substreams make the realization independent of this value
   /// altogether, so it is purely a performance knob. The default keeps a
-  /// shard's SoA working set inside a per-core L2 (see
-  /// ParallelRoundEngine::Options::shard_size).
+  /// shard's working set (assignment + threshold arrays plus its slice of
+  /// the load snapshot) inside a per-core L2 while leaving >= 8 shards of
+  /// claimable work per million users.
   std::size_t shard_size = 8192;  // qoslb-snapshot: transient
 
-  /// Master seed for the sharded path's counter-based substreams and for
-  /// async runs. The sharded path additionally folds in one draw from the
-  /// caller's RNG, so replications seeded through that RNG stay distinct.
+  /// Master seed for the per-user counter-based substreams of step_users()
+  /// protocols and for async runs. Those runs additionally fold in one draw
+  /// from the caller's RNG, so replications seeded through that RNG stay
+  /// distinct; step() protocols draw from the caller's RNG directly.
   std::uint64_t seed = 1;  // qoslb-snapshot: as(master_seed)
 
   // --- asynchronous (DES) runs ---
@@ -97,18 +88,18 @@ struct EngineConfig {
   bool force_timeouts = false;  // qoslb-snapshot: transient
 
   // --- robustness (docs/faults.md) ---
-  /// Scheduled mid-run resource churn, applied at round boundaries by the
-  /// sharded path. Empty by default; sequential-only protocols reject a
-  /// non-empty plan.
+  /// Scheduled mid-run resource churn, applied at round boundaries. Empty by
+  /// default; step() protocols reject a non-empty plan.
   ChurnPlan churn;
-  /// Every this many rounds the sharded and sequential paths run the full
-  /// O(n + m) State::check_invariants() audit (assignment/load/index/
-  /// liveness cross-checks). 0 = off (the default; audits are for the chaos
-  /// harness and CI, not the hot path).
+  /// Every this many rounds the round loop runs the full O(n + m)
+  /// State::check_invariants() audit (assignment/load/index/liveness
+  /// cross-checks). 0 = off (the default; audits are for the chaos harness
+  /// and CI, not the hot path).
   std::uint32_t invariant_check_period = 0;  // qoslb-snapshot: transient
-  /// Round boundaries at which the sharded path hands a checkpoint to
+  /// Round boundaries at which the round loop hands a checkpoint to
   /// snapshot_sink (strictly increasing; each fires before that round's
-  /// churn events and decisions). Requires snapshot_sink.
+  /// churn events and decisions). Requires snapshot_sink and a step_users()
+  /// protocol.
   std::vector<std::uint64_t> snapshot_rounds;  // qoslb-snapshot: transient
   /// Receives each captured checkpoint. Borrowed for the run's duration.
   std::function<void(const SnapshotV1&)> snapshot_sink;  // qoslb-snapshot: transient
@@ -147,10 +138,9 @@ struct EngineResult {
 };
 
 /// The unified run facade: one configuration, one result, every execution
-/// substrate — the classic sequential round loop, the sharded parallel round
-/// engine (sim/parallel_round_engine), the weighted-model runner, and the
-/// asynchronous DES realizations. See docs/engine.md for the API migration
-/// table from the former entry points.
+/// substrate — the synchronous round loop every Protocol runs on, the
+/// weighted-model runner, and the asynchronous DES realizations. See
+/// docs/engine.md for the API migration table from the former entry points.
 class Engine {
  public:
   Engine() = default;
@@ -161,12 +151,12 @@ class Engine {
   /// Drives `protocol` on `state` until stable or max_rounds, resetting the
   /// protocol's adaptive state first and enabling the state's incremental
   /// satisfaction tracking (so per-round satisfaction reads are O(1)).
-  /// Protocols implementing step_users() run on the sharded round engine
-  /// with per-(seed, round, user) Philox substreams: the realization is
+  /// Protocols implementing step_users() decide in shards with
+  /// per-(seed, round, user) Philox substreams: the realization is
   /// deterministic in (config().seed, rng state) and bit-identical for
-  /// every thread count, execution policy, and engine mode (dense vs.
-  /// active, for active-set-compatible protocols). Other protocols take the
-  /// classic sequential step() path.
+  /// every thread count and engine mode (dense vs. active, for
+  /// active-set-compatible protocols). Every other protocol runs one
+  /// step() per round against `rng`, inline.
   EngineResult run(Protocol& protocol, State& state, Xoshiro256& rng) const;
 
   /// Weighted-model overload: the state/protocol kinds select the weighted
@@ -201,15 +191,12 @@ class Engine {
                       State& state) const;
 
  private:
-  EngineResult run_sequential(Protocol& protocol, State& state,
-                              Xoshiro256& rng) const;
-  EngineResult run_step_users(Protocol& protocol, State& state,
-                              Xoshiro256& rng) const;
-  EngineResult drive_step_users(Protocol& protocol, State& state,
-                                std::uint64_t master_seed,
-                                std::uint64_t start_round,
-                                Counters start_counters,
-                                ChurnTracker tracker) const;
+  /// The round loop behind run() and resume(). `rng` feeds step()
+  /// protocols and may be null for step_users() ones; `master_seed` keys
+  /// the latter's substreams and is what a checkpoint stores.
+  EngineResult drive(Protocol& protocol, State& state, Xoshiro256* rng,
+                     std::uint64_t master_seed, std::uint64_t start_round,
+                     Counters start_counters, ChurnTracker tracker) const;
 
   EngineConfig config_;
 };

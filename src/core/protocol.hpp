@@ -112,7 +112,8 @@ class Protocol {
   virtual void step(State& state, Xoshiro256& rng, Counters& counters);
 
   /// True when step_users()/commit_round() are implemented and the engine
-  /// may shard the decision phase across threads.
+  /// may shard the decision phase across threads. Otherwise the engine's
+  /// round loop calls step() once per round with the caller's RNG.
   virtual bool supports_step_users() const { return false; }
 
   /// True when a user that is satisfied in the round-boundary snapshot

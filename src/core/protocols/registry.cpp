@@ -3,7 +3,6 @@
 #include <functional>
 #include <stdexcept>
 
-#include "core/parallel/parallel_sampling.hpp"
 #include "core/protocols/adaptive_sampling.hpp"
 #include "core/protocols/admission_control.hpp"
 #include "core/protocols/berenbrink.hpp"
@@ -92,16 +91,6 @@ const std::vector<Entry>& entries() {
         /*active_set=*/false, /*restricted=*/false},
        [](const ProtocolSpec& spec) {
          return std::make_unique<CachedSampling>(spec.lambda, spec.ttl);
-       }},
-      // Deliberately not restricted-assignment-compatible (QL009): the
-      // sequential-protocol shard merge keys its own substreams and predates
-      // the reachable-set helper; use "uniform" with engine threads instead.
-      {{"par-uniform",
-        "thread-parallel uniform sampling, Philox per-user substreams",
-        /*active_set=*/false, /*restricted=*/false},
-       [](const ProtocolSpec& spec) {
-         return std::make_unique<ParallelUniformSampling>(
-             spec.lambda, spec.seed, spec.threads);
        }},
   };
   return kEntries;

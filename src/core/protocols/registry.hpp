@@ -17,8 +17,6 @@ struct ProtocolSpec {
   int probes = 1;              // probes per round
   const Graph* graph = nullptr;  // resource graph (nbr-* kinds only)
   std::uint32_t ttl = 0;       // load-cache time-to-live ("cached" kind)
-  std::uint64_t seed = 1;      // substream master seed ("par-uniform" kind)
-  std::size_t threads = 0;     // worker count, 0 = hardware ("par-uniform")
 };
 
 /// One registry row: the spec kind plus a human-readable one-liner for

@@ -14,8 +14,8 @@ namespace qoslb {
 
 /// Persistent round-scoped worker pool (docs/performance.md §execution).
 ///
-/// The generic util::ThreadPool pays one heap-allocated std::function plus
-/// one queue lock per shard per round — at bench scales that overhead alone
+/// A generic task-queue pool pays one heap-allocated std::function plus one
+/// queue lock per shard per round — at bench scales that overhead alone
 /// made 2-thread rounds slower than 1 thread. This pool is specialized for
 /// the round fan-out pattern instead:
 ///
@@ -31,7 +31,7 @@ namespace qoslb {
 /// Determinism is unaffected by construction: the pool decides only *which
 /// participant* executes a shard, never what the shard computes — shard
 /// bodies write exclusively shard-local data and the commit consumes the
-/// buffers in shard order (sim/parallel_round_engine.hpp).
+/// buffers in shard order (the Engine's sharded round, core/engine.cpp).
 class RoundWorkerPool {
  public:
   /// `participants == 0` selects std::thread::hardware_concurrency()

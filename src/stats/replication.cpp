@@ -2,28 +2,18 @@
 
 #include "rng/splitmix64.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qoslb {
 
 ReplicationResult replicate(std::uint64_t root_seed, std::size_t replications,
-                            const std::function<double(std::uint64_t)>& body,
-                            std::size_t threads) {
+                            const std::function<double(std::uint64_t)>& body) {
   QOSLB_REQUIRE(replications > 0, "need at least one replication");
   ReplicationResult result;
-  result.samples.assign(replications, 0.0);
-
-  if (threads <= 1) {
-    for (std::size_t r = 0; r < replications; ++r)
-      result.samples[r] = body(derive_seed(root_seed, r));
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(replications, [&](std::size_t r) {
-      result.samples[r] = body(derive_seed(root_seed, r));
-    });
+  result.samples.reserve(replications);
+  for (std::size_t r = 0; r < replications; ++r) {
+    result.samples.push_back(body(derive_seed(root_seed, r)));
+    result.stat.add(result.samples.back());
   }
-
-  for (const double x : result.samples) result.stat.add(x);
   return result;
 }
 

@@ -15,12 +15,9 @@ struct ReplicationResult {
 };
 
 /// Runs `body(seed)` for `replications` deterministic child seeds derived from
-/// `root_seed` and aggregates the returned metric. When `threads > 1` the
-/// replications run on a thread pool; results are identical to the serial
-/// order because each replication owns its derived seed (counter-based
-/// reproducibility, per the hpc-parallel guides).
+/// `root_seed` and aggregates the returned metric. Each replication owns its
+/// derived seed, so a replication's value depends on nothing but its index.
 ReplicationResult replicate(std::uint64_t root_seed, std::size_t replications,
-                            const std::function<double(std::uint64_t)>& body,
-                            std::size_t threads = 1);
+                            const std::function<double(std::uint64_t)>& body);
 
 }  // namespace qoslb

@@ -24,7 +24,7 @@ const std::vector<RuleInfo>& rules() {
        "outside src/rng/"},
       {"QL002",
        "unordered_map/set iteration in determinism-critical files "
-       "(protocols, engine, parallel round engine, satisfaction index)"},
+       "(protocols, engine, satisfaction index)"},
       {"QL003",
        "wall-clock or environment reads (system_clock, time(), getenv) in "
        "src/core/ or src/sim/"},
@@ -57,18 +57,18 @@ const std::vector<RuleInfo>& rules() {
        "the sanctioned core->sim/obs orchestration seam)"},
       {"QL012",
        "shared-state write reachable from the parallel step path "
-       "(step_users/step_range) — migrations must stage in MigrationBuffer "
+       "(step_users) — migrations must stage in MigrationBuffer "
        "and apply in commit_round()"},
       {"QL013",
        "PhiloxEngine construction outside src/rng/ whose key does not flow "
-       "through derive_seed()/user_stream()/substream_key()/mix64()"},
+       "through derive_seed()/user_stream()/mix64()"},
       {"QL014",
        "snapshot coverage: every persistent member of a serialized struct "
        "must be written by its serializer or annotated "
        "'// qoslb-snapshot: transient' / 'as(name)'"},
       {"QL015",
        "hot-path hygiene: no locks, heap allocation, or throw reachable from "
-       "step_users/step_range/commit_round (suppress per call site with "
+       "step_users/commit_round (suppress per call site with "
        "allow(QL015))"},
       {"QL016",
        "telemetry schema catalog: every metric/gauge/histogram name "

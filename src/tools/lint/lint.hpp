@@ -40,7 +40,7 @@ struct Finding {
   std::string file;
   int line = 0;
   std::string message;
-  std::vector<std::string> why;
+  std::vector<std::string> why = {};
 };
 
 struct Options {

@@ -9,22 +9,19 @@ namespace qoslb::lint {
 
 namespace {
 
-// The parallel step path: functions the sharded round engine may run
-// concurrently against a shared const State. step_users()/step_range() are
-// the Protocol hooks; decide_range() is the dense parallel protocol's
-// per-chunk worker. commit_round() joins them for QL015 only — it runs
-// single-threaded but inside the round loop, so it shares the hot-path
-// hygiene contract while legitimately owning the State mutations QL012
-// polices.
+// The parallel step path: functions the engine's decide fan-out may run
+// concurrently against a shared const State — the Protocol::step_users()
+// hook. commit_round() joins it for QL015 only — it runs single-threaded
+// but inside the round loop, so it shares the hot-path hygiene contract
+// while legitimately owning the State mutations QL012 polices.
 const std::vector<std::string>& step_roots() {
-  static const std::vector<std::string> kRoots = {"step_users", "step_range",
-                                                  "decide_range"};
+  static const std::vector<std::string> kRoots = {"step_users"};
   return kRoots;
 }
 
 const std::vector<std::string>& hot_roots() {
-  static const std::vector<std::string> kRoots = {
-      "step_users", "step_range", "decide_range", "commit_round"};
+  static const std::vector<std::string> kRoots = {"step_users",
+                                                  "commit_round"};
   return kRoots;
 }
 
@@ -127,7 +124,7 @@ void rule_ql012(const Context& ctx, std::vector<Finding>& out) {
         Finding finding{"QL012", ctx.tree.files[fn.file].rel, line,
                         std::string(what) +
                             " reached from the parallel step path "
-                            "(step_users/step_range run shard-concurrently "
+                            "(step_users runs shard-concurrently "
                             "against a shared State) — stage the change in "
                             "the shard's MigrationBuffer and apply it in "
                             "commit_round()"};
@@ -147,7 +144,7 @@ void rule_ql012(const Context& ctx, std::vector<Finding>& out) {
 /// conventional variable name for one.
 bool sanctioned_expr(const std::string& expr) {
   static const std::regex kSanctioned(
-      R"(\b(derive_seed|user_stream|substream_key|mix64|round_key|round_rng|RoundRng)\b)");
+      R"(\b(derive_seed|user_stream|mix64|round_key|round_rng|RoundRng)\b)");
   return std::regex_search(expr, kSanctioned);
 }
 
@@ -279,7 +276,7 @@ void rule_ql013(const Context& ctx, std::vector<Finding>& out) {
           "QL013", f.rel, line,
           "PhiloxEngine keyed with '" + args[0] +
               "', which does not flow through derive_seed()/user_stream()/"
-              "substream_key()/mix64() — ad-hoc keys collide across "
+              "mix64() — ad-hoc keys collide across "
               "(seed, round, user) substreams and break replay"};
       if (enclosing != nullptr) {
         finding.why = {f.rel + ":" + std::to_string(enclosing->begin_line) +

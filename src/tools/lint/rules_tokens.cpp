@@ -58,8 +58,6 @@ void rule_ql001(const SourceFile& f, std::vector<Finding>& out) {
 bool ql002_applies(const std::string& rel) {
   return starts_with(rel, "src/core/protocols/") ||
          rel == "src/core/engine.cpp" || rel == "src/core/engine.hpp" ||
-         rel == "src/sim/parallel_round_engine.hpp" ||
-         rel == "src/sim/parallel_round_engine.cpp" ||
          rel == "src/core/satisfaction_index.hpp";
 }
 

@@ -8,8 +8,8 @@
 // every counter, satisfaction, and the churn degradation metrics must all
 // be bit-identical. Any divergence is reported and the exit code is 1.
 //
-//   qoslb-chaos --n=100000 --m=64 --kill=1,5,25 --fail=3:10 --recover=3:40 \
-//               --threads=1,2,4,8 --modes=dense,active --check-every=8 \
+//   qoslb-chaos --n=100000 --m=64 --kill=1,5,25 --fail=3:10 --recover=3:40
+//               --threads=1,2,4,8 --modes=dense,active --check-every=8
 //               --out=chaos-out
 //
 // Options:

@@ -224,6 +224,43 @@ TEST(Snapshot, SaveSnapshotRejectsUnreachableRound) {
                std::invalid_argument);
 }
 
+// step() protocols draw from the caller's Xoshiro256, whose state a
+// checkpoint does not carry, so every checkpoint entry point refuses them.
+TEST(Snapshot, StepProtocolsCannotBeCheckpointed) {
+  const Instance instance = test_instance(200, 8);
+  ProtocolSpec spec;
+  spec.kind = "seq-br";
+  const auto protocol = make_protocol(spec);
+  EngineConfig config;
+  config.snapshot_rounds = {1};
+  config.snapshot_sink = [](const SnapshotV1&) {};
+  State state = State::all_on(instance, 0);
+  Xoshiro256 rng(5);
+  EXPECT_THROW(Engine(config).run(*protocol, state, rng),
+               std::invalid_argument);
+  EXPECT_THROW(Engine(EngineConfig{}).save_snapshot(*protocol, state, rng, 1),
+               std::invalid_argument);
+}
+
+TEST(Snapshot, ResumeRejectsStepProtocols) {
+  const Instance instance = test_instance(200, 8);
+  ProtocolSpec sharded;
+  sharded.kind = "uniform";
+  sharded.lambda = 0.5;
+  const auto uniform = make_protocol(sharded);
+  State state = State::all_on(instance, 0);
+  Xoshiro256 rng(5);
+  const SnapshotV1 snapshot =
+      Engine(EngineConfig{}).save_snapshot(*uniform, state, rng, 1);
+
+  ProtocolSpec step;
+  step.kind = "seq-br";
+  const auto seq_br = make_protocol(step);
+  State restored = snapshot.make_state(instance);
+  EXPECT_THROW(Engine(EngineConfig{}).resume(*seq_br, snapshot, restored),
+               std::invalid_argument);
+}
+
 // ---- malformed input is rejected loudly ----
 
 std::string valid_snapshot_text() {

@@ -164,8 +164,8 @@ TEST_P(SoaLayoutTest, SatisfactionScansMatchScalarDefinition) {
 
 INSTANTIATE_TEST_SUITE_P(AllRateModels, SoaLayoutTest,
                          ::testing::Values("uniform", "matrix", "bipartite"),
-                         [](const auto& info) {
-                           return std::string(info.param);
+                         [](const auto& param_info) {
+                           return std::string(param_info.param);
                          });
 
 /// The flat-threshold fast path (identical capacities x uniform rates) is

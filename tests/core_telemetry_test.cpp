@@ -1,10 +1,10 @@
 // The telemetry determinism contract (docs/observability.md): attaching
-// metrics, trace sinks, and a clock must leave every simulation output —
-// assignments, round counts, counters, trajectories — bit-identical to the
-// telemetry-off run, across thread counts and engine modes, on the sync,
-// weighted, and async paths. Plus the accounting itself: trace rows per
-// round, metrics mirroring the run counters, trace_every thinning, and
-// virtual-time phase attribution for the DES.
+// metrics, trace and decision sinks, and a clock must leave every
+// simulation output — assignments, round counts, counters, trajectories —
+// bit-identical to the telemetry-off run, across thread counts and engine
+// modes, on the sync, weighted, and async paths. Plus the accounting
+// itself: trace rows per round, metrics mirroring the run counters,
+// trace_every thinning, and virtual-time phase attribution for the DES.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "core/potential.hpp"
 #include "net/generators.hpp"
+#include "obs/decision_sink.hpp"
 #include "qoslb.hpp"
 
 namespace qoslb {
@@ -61,7 +62,8 @@ EngineConfig base_config(const obs::Telemetry& telemetry) {
 class TelemetryInvariance : public ::testing::TestWithParam<ShardedCase> {};
 
 // The acceptance gate: telemetry-off reference vs telemetry-on runs at
-// threads {1, 2, 4, 8} in dense and active modes.
+// threads {1, 2, 4, 8} in dense and active modes, for every sharded
+// protocol and for step() protocols, which ignore both knobs.
 TEST_P(TelemetryInvariance, SinksOnAndOffProduceIdenticalRuns) {
   const ShardedCase& param = GetParam();
   const Instance instance = test_instance(2000, 32);
@@ -92,9 +94,11 @@ TEST_P(TelemetryInvariance, SinksOnAndOffProduceIdenticalRuns) {
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       obs::MetricsRegistry metrics;
       obs::MemoryTraceSink sink;
+      obs::MemoryDecisionSink decisions;
       obs::Telemetry telemetry;
       telemetry.metrics = &metrics;
       telemetry.sink = &sink;
+      telemetry.decisions = &decisions;
       telemetry.clock = &clock;
 
       State state = State::all_on(instance, 0);
@@ -129,12 +133,29 @@ TEST_P(TelemetryInvariance, SinksOnAndOffProduceIdenticalRuns) {
       EXPECT_EQ(sink.rows().size(), result.rounds + 1) << label;
       ASSERT_EQ(sink.runs().size(), 1u) << label;
       EXPECT_EQ(sink.runs()[0].threads, result.threads_used) << label;
+      // step() protocols ignore mode and threads: they run inline on the
+      // caller's RNG, take no master-seed fold, and the trace header says
+      // so. They record no per-user decisions, hence no diag rows either.
+      if (protocol->supports_step_users()) {
+        EXPECT_EQ(decisions.diags().size(), result.rounds) << label;
+      } else {
+        EXPECT_EQ(sink.runs()[0].mode, "sequential") << label;
+        EXPECT_EQ(sink.runs()[0].threads, 1u) << label;
+        EXPECT_EQ(sink.runs()[0].seed, config.seed) << label;
+        EXPECT_EQ(result.threads_used, 1u) << label;
+        EXPECT_TRUE(decisions.decisions().empty()) << label;
+        EXPECT_TRUE(decisions.diags().empty()) << label;
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllShardedProtocols, TelemetryInvariance,
                          ::testing::ValuesIn(sharded_cases()), case_name);
+INSTANTIATE_TEST_SUITE_P(StepProtocols, TelemetryInvariance,
+                         ::testing::Values(ShardedCase{"seq-br", 1.0},
+                                           ShardedCase{"cached", 0.5}),
+                         case_name);
 
 TEST(Telemetry, MetricsMirrorTheRunCounters) {
   const Instance instance = test_instance(800, 16);

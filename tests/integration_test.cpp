@@ -138,17 +138,20 @@ TEST(Integration, OverloadedBalancedStartIsADeadlockEquilibrium) {
   // A balanced random start on an overloaded instance is already a
   // satisfaction equilibrium with (near-)zero satisfied users — the extreme
   // price-of-anarchy case E7 quantifies: no single migration can help, so
-  // every protocol stops immediately.
+  // every protocol stops immediately, sharded or step() alike.
   const Instance inst = make_overloaded(64, 4, 2.0);  // thresholds 8
-  State state = State::round_robin(inst);             // 16 users everywhere
-  Xoshiro256 rng(29);
-  ProtocolSpec spec;
-  spec.kind = "admission";
-  const auto protocol = make_protocol(spec);
-  const EngineResult result = Engine().run(*protocol, state, rng);
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.rounds, 0u);
-  EXPECT_EQ(result.final_satisfied, 0u);
+  for (const char* kind : {"admission", "seq-br"}) {
+    State state = State::round_robin(inst);  // 16 users everywhere
+    Xoshiro256 rng(29);
+    ProtocolSpec spec;
+    spec.kind = kind;
+    const auto protocol = make_protocol(spec);
+    const EngineResult result = Engine().run(*protocol, state, rng);
+    EXPECT_TRUE(result.converged) << kind;
+    EXPECT_EQ(result.termination, Termination::kConverged) << kind;
+    EXPECT_EQ(result.rounds, 0u) << kind;
+    EXPECT_EQ(result.final_satisfied, 0u) << kind;
+  }
 }
 
 }  // namespace

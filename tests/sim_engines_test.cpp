@@ -4,52 +4,9 @@
 
 #include "core/accounting.hpp"
 #include "sim/des.hpp"
-#include "sim/round_engine.hpp"
 
 namespace qoslb {
 namespace {
-
-// ---- round engine ----
-
-class CountdownTask : public RoundTask {
- public:
-  explicit CountdownTask(int start) : remaining_(start) {}
-  void round(std::uint64_t) override { --remaining_; }
-  bool converged() const override { return remaining_ <= 0; }
-  int remaining() const { return remaining_; }
-
- private:
-  int remaining_;
-};
-
-TEST(RoundEngine, RunsUntilConverged) {
-  CountdownTask task(5);
-  const RoundRunResult result = run_rounds(task, 100);
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.rounds, 5u);
-  EXPECT_EQ(task.remaining(), 0);
-}
-
-TEST(RoundEngine, RespectsMaxRounds) {
-  CountdownTask task(10);
-  const RoundRunResult result = run_rounds(task, 3);
-  EXPECT_FALSE(result.converged);
-  EXPECT_EQ(result.rounds, 3u);
-}
-
-TEST(RoundEngine, AlreadyConvergedRunsZeroRounds) {
-  CountdownTask task(0);
-  const RoundRunResult result = run_rounds(task, 100);
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.rounds, 0u);
-}
-
-TEST(RoundEngine, ObserverSeesEveryRound) {
-  CountdownTask task(4);
-  std::vector<std::uint64_t> seen;
-  run_rounds(task, 100, [&seen](std::uint64_t r) { seen.push_back(r); });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
-}
 
 // ---- counters ----
 

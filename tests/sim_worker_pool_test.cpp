@@ -1,5 +1,5 @@
-// sim/worker_pool.hpp — the persistent round worker pool behind
-// ParallelRoundEngine's decide fan-out.
+// sim/worker_pool.hpp — the persistent round worker pool behind the
+// Engine's decide fan-out.
 
 #include "sim/worker_pool.hpp"
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "rng/distributions.hpp"
+#include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/histogram.hpp"
@@ -309,16 +310,21 @@ TEST(Replicate, DeterministicAcrossCalls) {
   EXPECT_EQ(a.samples, b.samples);
 }
 
-TEST(Replicate, ThreadedMatchesSerial) {
+TEST(Replicate, EachSampleDependsOnlyOnItsIndex) {
   const auto body = [](std::uint64_t seed) {
     Xoshiro256 rng(seed);
     double acc = 0;
     for (int i = 0; i < 100; ++i) acc += uniform_real(rng);
     return acc;
   };
-  const auto serial = replicate(7, 24, body, /*threads=*/1);
-  const auto threaded = replicate(7, 24, body, /*threads=*/4);
-  EXPECT_EQ(serial.samples, threaded.samples);
+  const auto full = replicate(7, 24, body);
+  ASSERT_EQ(full.samples.size(), 24u);
+  for (std::size_t i = 0; i < full.samples.size(); ++i)
+    EXPECT_EQ(full.samples[i], body(derive_seed(7, i))) << "replication " << i;
+  // A shorter run is a prefix of a longer one.
+  const auto prefix = replicate(7, 8, body);
+  EXPECT_EQ(prefix.samples, std::vector<double>(full.samples.begin(),
+                                                full.samples.begin() + 8));
 }
 
 TEST(Replicate, AggregatesIntoStat) {

@@ -13,6 +13,7 @@
 //      tail continuation to convergence. Both modes consume the caller RNG
 //      identically, so they execute the same realization; the final
 //      assignments are hash-compared and the bench fails on mismatch.
+//      It also fails when either mode's tail is empty (zero rounds).
 //
 // Acceptance target (ISSUE 3): >= 10x lower tail wall time for the active
 // mode at n=1e6, m=1e3. Results go to BENCH_active.json.
@@ -231,6 +232,9 @@ int main(int argc, char** argv) {
   const ModeResult dense = run_mode(EngineMode::kDense);
   const ModeResult active = run_mode(EngineMode::kActive);
   const bool identical = dense.hash == active.hash;
+  // A run that converges before the tail cut times no tail at all: the
+  // speedup would be a ratio of two near-zero timings, so it is a failure.
+  const bool empty_tail = dense.tail_rounds == 0 || active.tail_rounds == 0;
   // Speedup compares simulation cost alone — with a sink attached, the wall
   // ratio would be dominated by sink I/O, not by the round-cost claim.
   const double tail_speedup = dense.tail_sim_seconds / active.tail_sim_seconds;
@@ -276,6 +280,9 @@ int main(int argc, char** argv) {
                             "final assignment\n"
                           : "equivalence: FAILED — dense and active final "
                             "assignments differ\n");
+  if (empty_tail)
+    std::cout << "tail: FAILED — the run converged before the tail cut, so "
+                 "no tail round was timed; raise --tail-frac or --n\n";
   json.write("BENCH_active.json");
   if (!metrics_path.empty()) {
     std::ofstream metrics_out(metrics_path);
@@ -285,5 +292,5 @@ int main(int argc, char** argv) {
       metrics.write_jsonl(metrics_out);
     }
   }
-  return identical ? 0 : 1;
+  return identical && !empty_tail ? 0 : 1;
 }

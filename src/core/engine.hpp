@@ -31,8 +31,9 @@ enum class Termination : std::uint8_t {
 enum class EngineMode : std::uint8_t {
   /// Scan all n users every round — the classic engine.
   kDense,
-  /// Iterate only the incrementally-tracked unsatisfied set, making round
-  /// cost O(|active| + migrations). Bit-identical to kDense for protocols
+  /// Iterate only the incrementally-tracked unsatisfied set, so the decide
+  /// phase costs O(|active|) instead of O(n); the commit's own cost is per
+  /// protocol (docs/performance.md). Bit-identical to kDense for protocols
   /// with active_set_compatible() (their satisfied users neither act nor
   /// draw); the others (berenbrink) silently run densely.
   kActive,

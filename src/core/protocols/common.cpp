@@ -40,19 +40,21 @@ void apply_all(State& state, const std::vector<MigrationRequest>& requests,
 }
 
 std::vector<int> resident_min_thresholds(const State& state) {
-  const Instance& instance = state.instance();
-  std::vector<int> min_threshold(state.num_resources(),
-                                 static_cast<int>(state.num_users()) + 1);
-  for (UserId u = 0; u < state.num_users(); ++u) {
-    const ResourceId r = state.resource_of(u);
-    const int t = instance.threshold(u, r);
-    // Only satisfied residents gate admission: an already-unsatisfied
-    // resident cannot be hurt further, and protecting it would permanently
-    // block resources that hold infeasible users.
-    if (t >= state.load(r)) min_threshold[r] = std::min(min_threshold[r], t);
-  }
+  std::vector<int> min_threshold(state.num_resources());
+  for (ResourceId r = 0; r < state.num_resources(); ++r)
+    min_threshold[r] = state.satisfied_resident_min(r);
   return min_threshold;
 }
+
+namespace {
+
+/// A migration request keyed by the requester's threshold on its target.
+struct KeyedRequest {
+  int threshold;
+  UserId user;
+};
+
+}  // namespace
 
 void apply_with_admission(State& state,
                           const std::vector<MigrationRequest>& requests,
@@ -60,42 +62,49 @@ void apply_with_admission(State& state,
   counters.migrate_requests += requests.size();
   if (requests.empty()) return;
 
-  const Instance& instance = state.instance();
+  state.enable_satisfaction_tracking();
+  // Taken before any grant moves a user: the gate protects the residents
+  // satisfied at the round boundary.
   const std::vector<int> resident_min = resident_min_thresholds(state);
 
-  // Group requests by target resource.
-  std::vector<std::vector<UserId>> by_target(state.num_resources());
+  // Group requests by target with a counting pass. After the scatter,
+  // group_end[r] is the end of r's group and the start of r + 1's.
+  const Instance& instance = state.instance();
+  const std::size_t m = state.num_resources();
+  thread_local std::vector<std::size_t> group_end;
+  thread_local std::vector<KeyedRequest> grouped;
+  group_end.assign(m + 1, 0);
+  for (const MigrationRequest& req : requests) ++group_end[req.target + 1];
+  for (std::size_t r = 0; r < m; ++r) group_end[r + 1] += group_end[r];
+  grouped.resize(requests.size());
   for (const MigrationRequest& req : requests)
-    by_target[req.target].push_back(req.user);
+    grouped[group_end[req.target]++] =
+        KeyedRequest{instance.threshold(req.user, req.target), req.user};
 
-  for (ResourceId r = 0; r < state.num_resources(); ++r) {
-    auto& requesters = by_target[r];
-    if (requesters.empty()) continue;
-    std::sort(requesters.begin(), requesters.end(),
-              [&](UserId a, UserId b) {
-                const int ta = instance.threshold(a, r);
-                const int tb = instance.threshold(b, r);
-                if (ta != tb) return ta > tb;
-                return a < b;  // deterministic tie-break
-              });
+  std::size_t begin = 0;
+  for (ResourceId r = 0; r < m; ++r) {
+    const std::size_t end = group_end[r];
+    if (begin == end) continue;
+    const auto first = grouped.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = grouped.begin() + static_cast<std::ptrdiff_t>(end);
+    std::sort(first, last, [](const KeyedRequest& a, const KeyedRequest& b) {
+      if (a.threshold != b.threshold) return a.threshold > b.threshold;
+      return a.user < b.user;  // deterministic tie-break
+    });
+    const std::size_t size = end - begin;
     const int base_load = state.load(r);
     std::size_t admitted = 0;
-    while (admitted < requesters.size()) {
-      const int k = static_cast<int>(admitted) + 1;
-      const int post_load = base_load + k;
-      const int kth_threshold = instance.threshold(requesters[admitted], r);
-      if (post_load > resident_min[r] || post_load > kth_threshold) break;
+    while (admitted < size) {
+      const int post_load = base_load + static_cast<int>(admitted) + 1;
+      if (post_load > resident_min[r] || post_load > first[admitted].threshold)
+        break;
       ++admitted;
     }
-    for (std::size_t i = 0; i < requesters.size(); ++i) {
-      if (i < admitted) {
-        state.move(requesters[i], r);
-        ++counters.migrations;
-        ++counters.grants;
-      } else {
-        ++counters.rejects;
-      }
-    }
+    for (std::size_t i = 0; i < admitted; ++i) state.move(first[i].user, r);
+    counters.migrations += admitted;
+    counters.grants += admitted;
+    counters.rejects += size - admitted;
+    begin = end;
   }
 }
 

@@ -68,11 +68,15 @@ void apply_all(State& state, const std::vector<MigrationRequest>& requests,
                Counters& counters);
 
 /// Resource-gated admission (protocol P4/P5-admission of DESIGN.md): each
-/// resource sorts its requesters by descending threshold and admits the
-/// longest prefix k such that the post-admission load keeps both the
-/// admitted requesters and the current residents satisfied:
+/// resource sorts its requesters by descending threshold on it (ties to the
+/// lower user id) and admits the longest prefix k such that the
+/// post-admission load keeps both the admitted requesters and the residents
+/// satisfied at the round boundary:
 ///     load + k ≤ min(resident_min_threshold, k-th admitted threshold).
-/// Rejected requesters stay where they are. Returns number of migrations.
+/// Rejected requesters stay where they are; grants + rejects == requests.
+/// Turns on satisfaction tracking (a no-op under Engine::run); a round then
+/// costs O(m log n + R log R) for R requests — one threshold lookup per
+/// request, m index lookups for the resident minima.
 void apply_with_admission(State& state,
                           const std::vector<MigrationRequest>& requests,
                           Counters& counters);
@@ -80,6 +84,8 @@ void apply_with_admission(State& state,
 /// Minimum threshold among the *currently satisfied* residents of each
 /// resource (num_users()+1 when there is none, i.e. no resident constraint).
 /// Unsatisfied residents do not gate admission — they cannot be hurt further.
+/// One State::satisfied_resident_min() lookup per resource; requires
+/// satisfaction tracking.
 std::vector<int> resident_min_thresholds(const State& state);
 
 }  // namespace qoslb

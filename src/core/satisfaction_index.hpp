@@ -97,6 +97,14 @@ class SatisfactionIndex {
 
   bool is_unsatisfied(UserId u) const { return unsat_pos_[u] != kNoSlot; }
 
+  /// The smallest threshold bucket ≥ `load` on resource `r`, or `none` when
+  /// there is none. At `load` = r's current load this is the minimum
+  /// threshold among r's satisfied residents. One map lower_bound.
+  Load min_threshold_at_least(ResourceId r, Load load, Load none) const {
+    const auto it = buckets_[r].lower_bound(load);
+    return it == buckets_[r].end() ? none : it->first;
+  }
+
  private:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   using Bucket = std::vector<UserId>;

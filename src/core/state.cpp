@@ -151,6 +151,14 @@ const std::vector<UserId>& State::unsatisfied_view() const {
   return index_->unsatisfied();
 }
 
+int State::satisfied_resident_min(ResourceId r) const {
+  QOSLB_REQUIRE(index_.has_value(),
+                "satisfied_resident_min() needs enable_satisfaction_tracking()");
+  QOSLB_REQUIRE(r < loads_.size(), "resource out of range");
+  return index_->min_threshold_at_least(r, loads_[r],
+                                        static_cast<int>(num_users()) + 1);
+}
+
 double State::quality_of(UserId u) const {
   const ResourceId r = resource_of(u);
   return instance_->quality(u, r, loads_[r]);

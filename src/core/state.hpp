@@ -98,6 +98,11 @@ class State {
   /// next move). Requires satisfaction tracking.
   const std::vector<UserId>& unsatisfied_view() const;
 
+  /// Minimum threshold among the residents of `r` that are satisfied at its
+  /// current load, or num_users() + 1 when none is: one lower_bound over the
+  /// index's threshold buckets. Requires satisfaction tracking.
+  int satisfied_resident_min(ResourceId r) const;
+
   std::size_t count_satisfied() const;
   std::size_t count_unsatisfied() const { return num_users() - count_satisfied(); }
 

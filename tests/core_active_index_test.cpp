@@ -2,7 +2,9 @@
 // after long random move sequences the incrementally maintained unsatisfied
 // set and satisfied counter must equal a from-scratch recompute — on the
 // unit model (core/state) and the weighted model (core/weighted), where one
-// move can flip a whole window of users on both endpoint resources.
+// move can flip a whole window of users on both endpoint resources. The
+// admission gate's per-resource resident minima, read from the index's
+// threshold buckets, are checked the same way.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "core/generators.hpp"
+#include "core/protocols/common.hpp"
 #include "core/state.hpp"
 #include "core/weighted/weighted_generators.hpp"
 #include "core/weighted/weighted_state.hpp"
@@ -131,6 +134,103 @@ TEST(SatisfactionIndexProperty, TrackingEnabledMidSequenceAgrees) {
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
   EXPECT_EQ(tracked.count_satisfied(), late.count_satisfied());
+}
+
+/// The admission gate's resident minima recomputed from Instance::threshold:
+/// the smallest threshold among each resource's satisfied residents, n + 1
+/// where none is satisfied.
+std::vector<int> brute_force_resident_min(const State& state) {
+  std::vector<int> expected(state.num_resources(),
+                            static_cast<int>(state.num_users()) + 1);
+  for (UserId u = 0; u < state.num_users(); ++u) {
+    const ResourceId r = state.resource_of(u);
+    const int t = state.instance().threshold(u, r);
+    if (t >= state.load(r)) expected[r] = std::min(expected[r], t);
+  }
+  return expected;
+}
+
+/// Moves a random user to a random resource it can reach (self-moves
+/// included); draws that land on a dead resource are skipped.
+void random_reachable_move(State& state, Xoshiro256& rng) {
+  const Instance& instance = state.instance();
+  const auto u =
+      static_cast<UserId>(uniform_u64_below(rng, state.num_users()));
+  ResourceId r;
+  if (instance.restricted()) {
+    const auto reach = instance.reachable(u);
+    r = reach[uniform_u64_below(rng, reach.size())];
+  } else {
+    r = static_cast<ResourceId>(
+        uniform_u64_below(rng, state.num_resources()));
+  }
+  if (state.resource_live(r)) state.move(u, r);
+}
+
+/// Random moves, then a kill of the most loaded resource with its residents
+/// evicted to their first live reachable resource, then a revive and more
+/// moves, comparing the resident minima with the recompute throughout.
+void check_resident_minima(State& state, Xoshiro256& rng) {
+  state.enable_satisfaction_tracking();
+  ASSERT_GT(state.count_unsatisfied(), 0u) << "no unsatisfied resident";
+  EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
+  for (std::size_t i = 0; i < 2000; ++i) {
+    random_reachable_move(state, rng);
+    if ((i + 1) % 50 == 0) {
+      ASSERT_EQ(resident_min_thresholds(state), brute_force_resident_min(state))
+          << "after move " << i;
+    }
+  }
+  const auto& loads = state.loads();
+  const auto dead = static_cast<ResourceId>(
+      std::max_element(loads.begin(), loads.end()) - loads.begin());
+  state.set_resource_live(dead, false);
+  for (UserId u = 0; u < state.num_users(); ++u) {
+    if (state.resource_of(u) != dead) continue;
+    const Instance& instance = state.instance();
+    for (ResourceId r = 0; r < state.num_resources(); ++r)
+      if (state.resource_live(r) &&
+          (!instance.restricted() || instance.rate(u, r) > 0.0)) {
+        state.move(u, r);
+        break;
+      }
+  }
+  ASSERT_EQ(state.load(dead), 0);
+  state.check_invariants();
+  EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
+  state.set_resource_live(dead, true);
+  EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
+  for (std::size_t i = 0; i < 500; ++i) random_reachable_move(state, rng);
+  EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
+  state.check_invariants();
+}
+
+TEST(ResidentMinProperty, UniformRatesMatchRecompute) {
+  for (const std::uint64_t seed : {3u, 17u}) {
+    Xoshiro256 rng(seed);
+    const Instance instance = make_uniform_feasible(512, 32, 0.1, 1.5, rng);
+    State state = State::random(instance, rng);
+    check_resident_minima(state, rng);
+  }
+}
+
+TEST(ResidentMinProperty, ZipfRatesMatchRecompute) {
+  for (const std::uint64_t seed : {4u, 18u}) {
+    Xoshiro256 rng(seed);
+    const Instance instance = make_zipf_rates(512, 32, 0.1, 1.2, rng);
+    State state = State::random(instance, rng);
+    check_resident_minima(state, rng);
+  }
+}
+
+TEST(ResidentMinProperty, ClusteredBipartiteMatchesRecompute) {
+  for (const std::uint64_t seed : {5u, 19u}) {
+    Xoshiro256 rng(seed);
+    const Instance instance = make_clustered_bipartite(
+        512, 32, /*clusters=*/4, /*extra=*/2, 0.1, rng);
+    State state = State::random(instance, rng);
+    check_resident_minima(state, rng);
+  }
 }
 
 }  // namespace

@@ -278,6 +278,75 @@ TEST(ApplyWithAdmission, UnsatisfiedResidentDoesNotGate) {
   EXPECT_EQ(state.load(1), 3);
 }
 
+TEST(ApplyWithAdmission, GrantsFollowTheTargetThreshold) {
+  // Capacities 1, 2, 8. User 0 (q = 1) sits on resource 0 with threshold 1;
+  // user 1 (q = 2) sits on resource 2 with threshold min(4, n) = 2. On the
+  // target resource 1 the order flips: threshold 2 for user 0, 1 for user 1.
+  // Only one of them fits, and it must be the one ranked by the target.
+  const Instance inst({1.0, 2.0, 8.0}, {1.0, 2.0});
+  State state(inst, {0, 2});
+  ASSERT_LT(state.current_thresholds()[0], state.current_thresholds()[1]);
+  ASSERT_GT(inst.threshold(0, 1), inst.threshold(1, 1));
+  Counters counters;
+  std::vector<MigrationRequest> requests = {{0, 1}, {1, 1}};
+  apply_with_admission(state, requests, counters);
+  EXPECT_EQ(counters.grants, 1u);
+  EXPECT_EQ(counters.rejects, 1u);
+  EXPECT_EQ(state.resource_of(0), 1u);
+  EXPECT_EQ(state.resource_of(1), 2u);
+}
+
+TEST(ApplyWithAdmission, EqualThresholdsAdmitTheLowerUserId) {
+  // Every threshold is 2. Resource 1 holds one satisfied resident, so only
+  // one of the two requesters fits; the tie goes to the lower user id,
+  // whatever the request order.
+  const Instance inst = Instance::identical(2, 1.0, {0.5, 0.5, 0.5, 0.5});
+  State state(inst, {0, 0, 0, 1});
+  Counters counters;
+  std::vector<MigrationRequest> requests = {{2, 1}, {1, 1}};
+  apply_with_admission(state, requests, counters);
+  EXPECT_EQ(counters.grants, 1u);
+  EXPECT_EQ(counters.rejects, 1u);
+  EXPECT_EQ(state.resource_of(1), 1u);
+  EXPECT_EQ(state.resource_of(2), 0u);
+  EXPECT_EQ(state.load(1), 2);
+}
+
+TEST(ApplyWithAdmission, GatesEachTargetOnItsOwn) {
+  // Users 0-5 (threshold 4) crowd resource 0 and request three targets in
+  // non-ascending order. Resource 1 is empty and takes both of its
+  // requesters; resource 2 has a satisfied threshold-2 resident and takes
+  // one; resource 3 has a satisfied threshold-1 resident and takes none.
+  const Instance inst = Instance::identical(
+      4, 1.0, {0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.5, 1.0});
+  State state(inst, {0, 0, 0, 0, 0, 0, 2, 3});
+  Counters counters;
+  std::vector<MigrationRequest> requests = {{0, 3}, {1, 2}, {2, 1},
+                                            {3, 3}, {4, 2}, {5, 1}};
+  apply_with_admission(state, requests, counters);
+  EXPECT_EQ(counters.migrate_requests, 6u);
+  EXPECT_EQ(counters.grants, 3u);
+  EXPECT_EQ(counters.rejects, 3u);
+  EXPECT_EQ(counters.grants + counters.rejects, requests.size());
+  EXPECT_EQ(state.assignment(),
+            (std::vector<ResourceId>{0, 2, 1, 0, 0, 1, 2, 3}));
+}
+
+TEST(ApplyWithAdmission, ResidentMinimaAreTakenAtTheRoundBoundary) {
+  // Users 0 and 1 (threshold 1) share resource 1, so neither is satisfied
+  // and nothing gates resource 1. User 1 leaves for resource 0, which is
+  // committed first; that satisfies user 0 mid-commit, but the gate still
+  // uses the round-start minima, so user 2 (threshold min(4, n) = 3) joins.
+  const Instance inst = Instance::identical(3, 1.0, {1.0, 1.0, 0.25});
+  State state(inst, {1, 1, 2});
+  Counters counters;
+  std::vector<MigrationRequest> requests = {{1, 0}, {2, 1}};
+  apply_with_admission(state, requests, counters);
+  EXPECT_EQ(counters.grants, 2u);
+  EXPECT_EQ(counters.rejects, 0u);
+  EXPECT_EQ(state.assignment(), (std::vector<ResourceId>{1, 0, 1}));
+}
+
 // ---- neighborhood sampling ----
 
 TEST(NeighborhoodSampling, ConvergesOnRing) {

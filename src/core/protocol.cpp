@@ -26,7 +26,7 @@ void Protocol::step(State& state, Xoshiro256& rng, Counters& counters) {
 
 void Protocol::step_users(const State& state, const std::vector<int>&,
                           const UserId*, std::size_t, MigrationBuffer&,
-                          const RoundRng&, Counters&) {
+                          const RoundRng&, Counters&) const {
   (void)state;
   QOSLB_REQUIRE(false, "step_users() is not implemented by " + name());
 }

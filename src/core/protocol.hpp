@@ -74,6 +74,32 @@ struct MigrationBuffer {
   DecisionScratch* decisions = nullptr;
 };
 
+/// What the engine may assume about a dynamic. Each protocol class declares
+/// its traits once, as `static constexpr ProtocolTraits kTraits`, and passes
+/// them to the Protocol constructor; the registry's ProtocolInfo reads the
+/// same constant (core/protocols/registry.hpp).
+struct ProtocolTraits {
+  /// step_users()/commit_round() are implemented, so the engine may shard
+  /// the decision phase across threads. Otherwise the engine's round loop
+  /// calls step() once per round with the caller's RNG.
+  bool sharded = false;
+  /// A user that is satisfied in the round-boundary snapshot neither
+  /// migrates nor consumes randomness in step_users() — the precondition
+  /// for iterating only the unsatisfied set. Berenbrink's QoS-oblivious
+  /// dynamic (every user probes every round) is the one sharded protocol
+  /// without it; the engine runs it densely even in active mode.
+  bool active_set = false;
+  /// Every probe targets the deciding user's reachable set
+  /// (sample_reachable() / reachable_target() in protocols/common.hpp, or a
+  /// threshold-gated deviation scan), so no migration ever lands on a
+  /// rate-0 pair and the dynamic may drive restricted-assignment instances
+  /// (Instance::restricted()). The engine rejects restricted instances for
+  /// the rest, and State::move() rejects an unreachable target. Unrestricted
+  /// instances are unaffected — the helpers reduce to the historical
+  /// whole-live-list draw bit-for-bit.
+  bool restricted = false;
+};
+
 /// A distributed (or sequential-baseline) QoS load-balancing dynamic.
 ///
 /// One synchronous round: every decision is taken against the loads observed
@@ -85,25 +111,26 @@ struct MigrationBuffer {
 ///     MigrationBuffer. Each user draws from its own (seed, round, user)
 ///     Philox substream (RoundRng), so the outcome for a user is a pure
 ///     function of that key — independent of the iteration set, shard
-///     geometry, and thread count. Pure with respect to the protocol object
-///     (it must not touch mutable members), so the engine may fan user
-///     lists out across threads.
+///     geometry, and thread count. A const member taking a const State, so
+///     the engine may fan user lists out across threads.
 ///   * commit_round() — apply the round's shard buffers (in shard order)
 ///     and roll any per-round protocol state forward. Always sequential.
 ///
-/// Protocols implementing the pair advertise it via supports_step_users()
-/// and inherit a step() that runs decide+commit over the full user range —
-/// the classic single-threaded path. Sequential baselines (one move per
-/// step) override step() directly and leave the sharded hooks
-/// unimplemented. Protocols whose satisfied users neither act nor draw
-/// additionally advertise active_set_compatible(): for those the engine may
-/// iterate only the unsatisfied set and still reproduce the dense run
-/// bit-for-bit (docs/performance.md).
+/// Protocols implementing the pair declare ProtocolTraits::sharded and
+/// inherit a step() that runs decide+commit over the full user range — the
+/// classic single-threaded path. Sequential baselines (one move per step)
+/// override step() directly and leave the sharded hooks unimplemented.
 class Protocol {
  public:
+  explicit Protocol(ProtocolTraits traits = {}) : traits_(traits) {}
   virtual ~Protocol() = default;
 
   virtual std::string name() const = 0;
+
+  /// The traits the class declared, one accessor per ProtocolTraits field.
+  bool supports_step_users() const { return traits_.sharded; }
+  bool active_set_compatible() const { return traits_.active_set; }
+  bool restricted_assignment_compatible() const { return traits_.restricted; }
 
   /// Executes one synchronous round (or one sequential-baseline move). The
   /// default implementation routes through step_users()/commit_round() over
@@ -111,41 +138,16 @@ class Protocol {
   /// `rng`, and requires supports_step_users().
   virtual void step(State& state, Xoshiro256& rng, Counters& counters);
 
-  /// True when step_users()/commit_round() are implemented and the engine
-  /// may shard the decision phase across threads. Otherwise the engine's
-  /// round loop calls step() once per round with the caller's RNG.
-  virtual bool supports_step_users() const { return false; }
-
-  /// True when a user that is satisfied in the round-boundary snapshot
-  /// neither migrates nor consumes randomness in step_users() — the
-  /// precondition for iterating only the unsatisfied set. Berenbrink's
-  /// QoS-oblivious dynamic (every user probes every round) is the one
-  /// sharded protocol that is *not* compatible; the engine runs it densely
-  /// even in active mode.
-  virtual bool active_set_compatible() const { return false; }
-
-  /// True when this dynamic respects restricted-assignment instances
-  /// (Instance::restricted()): every probe targets the deciding user's
-  /// reachable set (sample_reachable() / reachable_target() in
-  /// protocols/common.hpp, or a threshold-gated deviation scan), so no
-  /// migration ever lands on a rate-0 pair. The engine rejects restricted
-  /// instances for protocols that don't opt in; lint rule QL009
-  /// cross-checks the registry flag against the class. Unrestricted
-  /// instances are unaffected — the helpers reduce to the historical
-  /// whole-live-list draw bit-for-bit.
-  virtual bool restricted_assignment_compatible() const { return false; }
-
   /// Decides for `users[0..count)` against `load_snapshot` (the loads at
   /// the round boundary), appending wishes to `out`. Draw randomness for
   /// user u exclusively from `rng.user_stream(u)`; tally into `counters`
-  /// (the shard's private tally). Must be const with respect to protocol
-  /// and state mutations — it runs concurrently with other shards of the
-  /// same round.
+  /// (the shard's private tally). Const in both the protocol and the
+  /// state: it runs concurrently with other shards of the same round.
   virtual void step_users(const State& state,
                           const std::vector<int>& load_snapshot,
                           const UserId* users, std::size_t count,
                           MigrationBuffer& out, const RoundRng& rng,
-                          Counters& counters);
+                          Counters& counters) const;
 
   /// Applies one round's shard buffers in shard order and rolls per-round
   /// protocol state forward. The default commit is optimistic: every request
@@ -168,12 +170,17 @@ class Protocol {
   /// (core/snapshot.hpp) as `field <count>` keyword lines, mirroring the
   /// instance_io text idiom. The default writes nothing — correct for every
   /// protocol whose rounds are memoryless. Overrides must keep write/read
-  /// field lists in lockstep; lint rule QL008 cross-checks the pair.
+  /// field lists in lockstep; lint rule QL014 cross-checks the pair.
   virtual void snapshot_write(std::ostream& out) const;
 
   /// Restores what snapshot_write() serialized. Must accept its own output
   /// verbatim and throw std::invalid_argument on malformed input.
   virtual void snapshot_read(std::istream& in);
+
+ private:
+  // The class's kTraits, fixed at construction: restore rebuilds the
+  // protocol through the registry, not from the snapshot payload.
+  ProtocolTraits traits_;  // qoslb-snapshot: transient
 };
 
 }  // namespace qoslb

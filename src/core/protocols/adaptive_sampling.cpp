@@ -11,7 +11,8 @@
 
 namespace qoslb {
 
-AdaptiveSampling::AdaptiveSampling(int probes_per_round) : probes_(probes_per_round) {
+AdaptiveSampling::AdaptiveSampling(int probes_per_round)
+    : Protocol(kTraits), probes_(probes_per_round) {
   QOSLB_REQUIRE(probes_per_round >= 1, "need at least one probe per round");
 }
 
@@ -54,7 +55,7 @@ void AdaptiveSampling::step_users(const State& state,
                                   const std::vector<int>& snapshot,
                                   const UserId* users, std::size_t count,
                                   MigrationBuffer& out, const RoundRng& streams,
-                                  Counters& counters) {
+                                  Counters& counters) const {
   const Instance& instance = state.instance();
   if (out.resource_tallies.size() != state.num_resources())
     out.resource_tallies.assign(state.num_resources(), 0);

@@ -24,20 +24,19 @@ namespace qoslb {
 /// estimate hot across the alternation.
 class AdaptiveSampling : public Protocol {
  public:
+  static constexpr ProtocolTraits kTraits{
+      .sharded = true, .active_set = true, .restricted = true};
+
   explicit AdaptiveSampling(int probes_per_round = 1);
 
   std::string name() const override;
-
-  bool supports_step_users() const override { return true; }
-  bool active_set_compatible() const override { return true; }
-  bool restricted_assignment_compatible() const override { return true; }
 
   /// Tallies this shard's migration intents into out.resource_tallies (the
   /// contention estimate the *next* rounds damp against) while reading the
   /// previous rounds' estimates, which are frozen during the decide phase.
   void step_users(const State& state, const std::vector<int>& load_snapshot,
                   const UserId* users, std::size_t count, MigrationBuffer& out,
-                  const RoundRng& rng, Counters& counters) override;
+                  const RoundRng& rng, Counters& counters) const override;
 
   /// Sums the shard intent tallies into the two-round contention window,
   /// then applies all requests optimistically.

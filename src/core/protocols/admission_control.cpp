@@ -6,7 +6,8 @@
 
 namespace qoslb {
 
-AdmissionControl::AdmissionControl(int probes_per_round) : probes_(probes_per_round) {
+AdmissionControl::AdmissionControl(int probes_per_round)
+    : Protocol(kTraits), probes_(probes_per_round) {
   QOSLB_REQUIRE(probes_per_round >= 1, "need at least one probe per round");
 }
 
@@ -18,7 +19,7 @@ void AdmissionControl::step_users(const State& state,
                                   const std::vector<int>& snapshot,
                                   const UserId* users, std::size_t count,
                                   MigrationBuffer& out, const RoundRng& streams,
-                                  Counters& counters) {
+                                  Counters& counters) const {
   const Instance& instance = state.instance();
   const ResourceId* assignment = state.assignment().data();
   for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {

@@ -14,17 +14,16 @@ namespace qoslb {
 /// population (E3) at the cost of REQUEST/GRANT/REJECT messages.
 class AdmissionControl : public Protocol {
  public:
+  static constexpr ProtocolTraits kTraits{
+      .sharded = true, .active_set = true, .restricted = true};
+
   explicit AdmissionControl(int probes_per_round = 1);
 
   std::string name() const override;
 
-  bool supports_step_users() const override { return true; }
-  bool active_set_compatible() const override { return true; }
-  bool restricted_assignment_compatible() const override { return true; }
-
   void step_users(const State& state, const std::vector<int>& load_snapshot,
                   const UserId* users, std::size_t count, MigrationBuffer& out,
-                  const RoundRng& rng, Counters& counters) override;
+                  const RoundRng& rng, Counters& counters) const override;
 
   /// The admission gate needs every requester of a resource at once, so the
   /// commit merges the shard buffers (shard order = ascending user id)

@@ -12,7 +12,7 @@ void BerenbrinkBalancing::step_users(const State& state,
                                      const UserId* users, std::size_t count,
                                      MigrationBuffer& out,
                                      const RoundRng& streams,
-                                     Counters& counters) {
+                                     Counters& counters) const {
   const Instance& instance = state.instance();
   // QoS-oblivious: every user probes every round (no unsatisfied prefilter —
   // the protocol is not active_set_compatible), so the loop streams the raw

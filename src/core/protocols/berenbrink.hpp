@@ -13,18 +13,18 @@ namespace qoslb {
 /// per-user requirements, which is exactly what E4/E7 quantify.
 class BerenbrinkBalancing : public Protocol {
  public:
-  BerenbrinkBalancing() = default;
+  // Not active_set: every user — satisfied or not — probes and may move
+  // each round, so the unsatisfied set is not the acting set.
+  static constexpr ProtocolTraits kTraits{.sharded = true,
+                                          .restricted = true};
+
+  BerenbrinkBalancing() : Protocol(kTraits) {}
 
   std::string name() const override { return "berenbrink"; }
 
-  bool supports_step_users() const override { return true; }
-  // Not active_set_compatible(): every user — satisfied or not — probes and
-  // may move each round, so the unsatisfied set is not the acting set.
-  bool restricted_assignment_compatible() const override { return true; }
-
   void step_users(const State& state, const std::vector<int>& load_snapshot,
                   const UserId* users, std::size_t count, MigrationBuffer& out,
-                  const RoundRng& rng, Counters& counters) override;
+                  const RoundRng& rng, Counters& counters) const override;
 
   /// Stability = Nash of the balancing game: no user can strictly improve
   /// its quality by a unilateral move. For identical capacities this is

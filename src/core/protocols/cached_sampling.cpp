@@ -10,7 +10,7 @@
 namespace qoslb {
 
 CachedSampling::CachedSampling(double migrate_prob, std::uint32_t ttl_rounds)
-    : migrate_prob_(migrate_prob), ttl_(ttl_rounds) {
+    : Protocol(kTraits), migrate_prob_(migrate_prob), ttl_(ttl_rounds) {
   QOSLB_REQUIRE(migrate_prob > 0.0 && migrate_prob <= 1.0,
                 "migrate_prob must be in (0,1]");
 }

@@ -19,6 +19,10 @@ namespace qoslb {
 /// freshness/cost trade-off quantified by bench/e17_probe_cache.
 class CachedSampling : public Protocol {
  public:
+  /// step() only, and not restricted: the TTL cache samples raw resource
+  /// ids and would need a per-user cache walk.
+  static constexpr ProtocolTraits kTraits{};
+
   CachedSampling(double migrate_prob, std::uint32_t ttl_rounds);
 
   std::string name() const override;

@@ -17,9 +17,9 @@ namespace qoslb {
 /// u's reachable set instead. A restricted draw that lands on a dead
 /// resource returns kNoResource — a failed probe, mirroring the nbr-*
 /// dead-neighbor idiom — so u's stream position advances identically
-/// whether or not churn killed anything. Every restricted-assignment-
-/// compatible sampling protocol must draw through this helper (lint rule
-/// QL009).
+/// whether or not churn killed anything. Every sampling protocol whose
+/// kTraits set `restricted` must draw through this helper;
+/// tests/core_rate_model_test.cpp checks it for every restricted kind.
 template <typename Rng>
 ResourceId sample_reachable(const State& state, UserId u, Rng& rng) {
   const Instance& instance = state.instance();

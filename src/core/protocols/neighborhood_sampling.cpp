@@ -10,7 +10,8 @@ namespace qoslb {
 NeighborhoodSampling::NeighborhoodSampling(const Graph& resource_graph,
                                            Commit commit, double migrate_prob,
                                            int probes_per_round)
-    : graph_(&resource_graph),
+    : Protocol(kTraits),
+      graph_(&resource_graph),
       commit_(commit),
       migrate_prob_(migrate_prob),
       probes_(probes_per_round) {
@@ -30,7 +31,7 @@ void NeighborhoodSampling::step_users(const State& state,
                                       const UserId* users, std::size_t count,
                                       MigrationBuffer& out,
                                       const RoundRng& streams,
-                                      Counters& counters) {
+                                      Counters& counters) const {
   const Instance& instance = state.instance();
   QOSLB_REQUIRE(graph_->num_vertices() == state.num_resources(),
                 "resource graph size mismatch");

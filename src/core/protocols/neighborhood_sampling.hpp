@@ -16,18 +16,17 @@ class NeighborhoodSampling : public Protocol {
  public:
   enum class Commit { kOptimistic, kAdmission };
 
+  static constexpr ProtocolTraits kTraits{
+      .sharded = true, .active_set = true, .restricted = true};
+
   NeighborhoodSampling(const Graph& resource_graph, Commit commit,
                        double migrate_prob = 1.0, int probes_per_round = 1);
 
   std::string name() const override;
 
-  bool supports_step_users() const override { return true; }
-  bool active_set_compatible() const override { return true; }
-  bool restricted_assignment_compatible() const override { return true; }
-
   void step_users(const State& state, const std::vector<int>& load_snapshot,
                   const UserId* users, std::size_t count, MigrationBuffer& out,
-                  const RoundRng& rng, Counters& counters) override;
+                  const RoundRng& rng, Counters& counters) const override;
 
   /// Optimistic commit applies every request; admission commit merges the
   /// shards and runs the per-resource grant scan.

@@ -2,6 +2,8 @@
 
 #include <functional>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "core/protocols/adaptive_sampling.hpp"
 #include "core/protocols/admission_control.hpp"
@@ -20,12 +22,23 @@ struct Entry {
   std::function<std::unique_ptr<Protocol>(const ProtocolSpec&)> build;
 };
 
+/// One registry row. Its traits are the kTraits of the class `build`
+/// returns, read off the builder's std::unique_ptr<P> return type, so a
+/// row cannot advertise one class and build another.
+template <typename Build>
+Entry row(const char* name, const char* description, Build build) {
+  using Built =
+      typename std::invoke_result_t<Build, const ProtocolSpec&>::element_type;
+  return {{name, description, Built::kTraits}, std::move(build)};
+}
+
 NeighborhoodSampling::Commit commit_for(const std::string& kind) {
   return kind == "nbr-admission" ? NeighborhoodSampling::Commit::kAdmission
                                  : NeighborhoodSampling::Commit::kOptimistic;
 }
 
-std::unique_ptr<Protocol> make_neighborhood(const ProtocolSpec& spec) {
+std::unique_ptr<NeighborhoodSampling> make_neighborhood(
+    const ProtocolSpec& spec) {
   if (spec.graph == nullptr)
     throw std::invalid_argument("protocol kind '" + spec.kind +
                                 "' needs a resource graph");
@@ -36,62 +49,48 @@ std::unique_ptr<Protocol> make_neighborhood(const ProtocolSpec& spec) {
 
 const std::vector<Entry>& entries() {
   static const std::vector<Entry> kEntries = {
-      {{"seq-br", "sequential best response, random user order (P1)",
-        /*active_set=*/false, /*restricted=*/true},
-       [](const ProtocolSpec&) {
-         return std::make_unique<SequentialBestResponse>(
-             SequentialBestResponse::Order::kRandom);
-       }},
-      {{"seq-br-rr", "sequential best response, round-robin user order",
-        /*active_set=*/false, /*restricted=*/true},
-       [](const ProtocolSpec&) {
-         return std::make_unique<SequentialBestResponse>(
-             SequentialBestResponse::Order::kRoundRobin);
-       }},
-      {{"uniform",
-        "uniform sampling with lambda-damped optimistic migration (P2)",
-        /*active_set=*/true, /*restricted=*/true},
-       [](const ProtocolSpec& spec) {
-         return std::make_unique<UniformSampling>(spec.lambda, spec.probes);
-       }},
-      {{"adaptive",
-        "contention-adaptive migration probability slack/intents (P3)",
-        /*active_set=*/true, /*restricted=*/true},
-       [](const ProtocolSpec& spec) {
-         return std::make_unique<AdaptiveSampling>(spec.probes);
-       }},
-      {{"admission",
-        "resource-gated admission: REQUEST/GRANT commit, monotone (P4)",
-        /*active_set=*/true, /*restricted=*/true},
-       [](const ProtocolSpec& spec) {
-         return std::make_unique<AdmissionControl>(spec.probes);
-       }},
-      {{"nbr-uniform",
-        "neighborhood-restricted optimistic sampling on a resource graph (P5)",
-        /*active_set=*/true, /*restricted=*/true},
-       make_neighborhood},
-      {{"nbr-admission",
-        "neighborhood-restricted sampling with admission commit (P5)",
-        /*active_set=*/true, /*restricted=*/true},
-       make_neighborhood},
-      // Deliberately dense-only (qoslb-lint QL004 checks the pairing):
-      // every user — satisfied or not — probes and may move each round, so
-      // the active-set precondition (satisfied users draw no randomness)
-      // does not hold; see berenbrink.hpp.
-      {{"berenbrink",
-        "classic selfish load balancing, QoS-oblivious baseline (P6)",
-        /*active_set=*/false, /*restricted=*/true},
-       [](const ProtocolSpec&) {
-         return std::make_unique<BerenbrinkBalancing>();
-       }},
-      // Deliberately not restricted-assignment-compatible (QL009): the TTL
-      // cache samples raw resource ids and would need a per-user cache walk.
-      {{"cached",
-        "uniform sampling against a shared load cache with ttl rounds (E17)",
-        /*active_set=*/false, /*restricted=*/false},
-       [](const ProtocolSpec& spec) {
-         return std::make_unique<CachedSampling>(spec.lambda, spec.ttl);
-       }},
+      row("seq-br", "sequential best response, random user order (P1)",
+          [](const ProtocolSpec&) {
+            return std::make_unique<SequentialBestResponse>(
+                SequentialBestResponse::Order::kRandom);
+          }),
+      row("seq-br-rr", "sequential best response, round-robin user order",
+          [](const ProtocolSpec&) {
+            return std::make_unique<SequentialBestResponse>(
+                SequentialBestResponse::Order::kRoundRobin);
+          }),
+      row("uniform",
+          "uniform sampling with lambda-damped optimistic migration (P2)",
+          [](const ProtocolSpec& spec) {
+            return std::make_unique<UniformSampling>(spec.lambda, spec.probes);
+          }),
+      row("adaptive",
+          "contention-adaptive migration probability slack/intents (P3)",
+          [](const ProtocolSpec& spec) {
+            return std::make_unique<AdaptiveSampling>(spec.probes);
+          }),
+      row("admission",
+          "resource-gated admission: REQUEST/GRANT commit, monotone (P4)",
+          [](const ProtocolSpec& spec) {
+            return std::make_unique<AdmissionControl>(spec.probes);
+          }),
+      row("nbr-uniform",
+          "neighborhood-restricted optimistic sampling on a resource graph "
+          "(P5)",
+          make_neighborhood),
+      row("nbr-admission",
+          "neighborhood-restricted sampling with admission commit (P5)",
+          make_neighborhood),
+      row("berenbrink",
+          "classic selfish load balancing, QoS-oblivious baseline (P6)",
+          [](const ProtocolSpec&) {
+            return std::make_unique<BerenbrinkBalancing>();
+          }),
+      row("cached",
+          "uniform sampling against a shared load cache with ttl rounds (E17)",
+          [](const ProtocolSpec& spec) {
+            return std::make_unique<CachedSampling>(spec.lambda, spec.ttl);
+          }),
   };
   return kEntries;
 }

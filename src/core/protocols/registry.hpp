@@ -19,21 +19,13 @@ struct ProtocolSpec {
   std::uint32_t ttl = 0;       // load-cache time-to-live ("cached" kind)
 };
 
-/// One registry row: the spec kind plus a human-readable one-liner for
-/// `--list-protocols`-style discovery.
+/// One registry row: the spec kind, a human-readable one-liner for
+/// `--list-protocols`-style discovery, and the kTraits of the class the
+/// row's builder returns.
 struct ProtocolInfo {
   std::string name;
   std::string description;
-  /// True when the built protocol is active_set_compatible(): the engine's
-  /// active mode (EngineMode::kActive) iterates only the unsatisfied set
-  /// and still reproduces the dense run bit-for-bit. Kept consistent with
-  /// the protocol classes by a registry test.
-  bool active_set = false;
-  /// True when the built protocol is restricted_assignment_compatible():
-  /// it may drive instances whose users reach only a subset of resources
-  /// (Instance::restricted()). Kept consistent with the protocol classes by
-  /// a registry test and lint rule QL009.
-  bool restricted = false;
+  ProtocolTraits traits;
 };
 
 /// Every registered kind, in presentation order. This is the single source

@@ -15,18 +15,18 @@ class SequentialBestResponse : public Protocol {
     kRoundRobin,  // cyclic scan over user ids
   };
 
+  /// The deviation scan is threshold-gated (threshold 0 on every
+  /// unreachable pair), so restricted instances need no sampling helper.
+  static constexpr ProtocolTraits kTraits{.restricted = true};
+
   explicit SequentialBestResponse(Order order = Order::kRandom)
-      : order_(order) {}
+      : Protocol(kTraits), order_(order) {}
 
   std::string name() const override {
     return order_ == Order::kRandom ? "seq-br" : "seq-br-rr";
   }
 
   void step(State& state, Xoshiro256& rng, Counters& counters) override;
-
-  /// The deviation scan is threshold-gated (threshold 0 on every
-  /// unreachable pair), so no sampling helper is needed.
-  bool restricted_assignment_compatible() const override { return true; }
 
   void reset() override { cursor_ = 0; }
 

@@ -10,7 +10,7 @@
 namespace qoslb {
 
 UniformSampling::UniformSampling(double migrate_prob, int probes_per_round)
-    : migrate_prob_(migrate_prob), probes_(probes_per_round) {
+    : Protocol(kTraits), migrate_prob_(migrate_prob), probes_(probes_per_round) {
   QOSLB_REQUIRE(migrate_prob > 0.0 && migrate_prob <= 1.0,
                 "migrate_prob must be in (0,1]");
   QOSLB_REQUIRE(probes_per_round >= 1, "need at least one probe per round");
@@ -26,7 +26,7 @@ void UniformSampling::step_users(const State& state,
                                  const std::vector<int>& snapshot,
                                  const UserId* users, std::size_t count,
                                  MigrationBuffer& out, const RoundRng& streams,
-                                 Counters& counters) {
+                                 Counters& counters) const {
   const Instance& instance = state.instance();
   const ResourceId* assignment = state.assignment().data();
   // Branchless SoA pass first, probe loop only over the survivors — the

@@ -15,17 +15,16 @@ namespace qoslb {
 /// thins the herd; the adaptive and admission variants remove it entirely.
 class UniformSampling : public Protocol {
  public:
+  static constexpr ProtocolTraits kTraits{
+      .sharded = true, .active_set = true, .restricted = true};
+
   explicit UniformSampling(double migrate_prob = 1.0, int probes_per_round = 1);
 
   std::string name() const override;
 
-  bool supports_step_users() const override { return true; }
-  bool active_set_compatible() const override { return true; }
-  bool restricted_assignment_compatible() const override { return true; }
-
   void step_users(const State& state, const std::vector<int>& load_snapshot,
                   const UserId* users, std::size_t count, MigrationBuffer& out,
-                  const RoundRng& rng, Counters& counters) override;
+                  const RoundRng& rng, Counters& counters) const override;
 
   double migrate_prob() const { return migrate_prob_; }
   int probes_per_round() const { return probes_; }

@@ -10,7 +10,7 @@
 // symbol index. An identifier followed by `(` inside a function body is an
 // edge to *every* project function with that name — no overload resolution,
 // no virtual dispatch analysis. That over-approximation is exactly what the
-// reachability rules (QL012/QL013/QL015) want: a finding is suppressed only
+// call-graph rules (QL013/QL015) want: a finding is suppressed only
 // when no name-plausible path exists, never because dispatch was guessed.
 // Calls qualified with `std::` (or any non-project qualifier) are skipped.
 namespace qoslb::lint {

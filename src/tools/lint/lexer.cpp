@@ -241,39 +241,6 @@ bool suppressed(const SourceFile& f, int line, const std::string& rule) {
   return false;
 }
 
-std::optional<DefRange> find_definition(const std::string& code_text,
-                                        const std::string& fn_name) {
-  const std::regex sig("\\b" + fn_name + R"(\s*\()");
-  for (auto it = std::sregex_iterator(code_text.begin(), code_text.end(), sig);
-       it != std::sregex_iterator(); ++it) {
-    std::size_t i = static_cast<std::size_t>(it->position()) + it->length() - 1;
-    int depth = 0;
-    for (; i < code_text.size(); ++i) {
-      if (code_text[i] == '(') ++depth;
-      if (code_text[i] == ')' && --depth == 0) break;
-    }
-    if (i >= code_text.size()) continue;
-    bool body = false;
-    for (++i; i < code_text.size(); ++i) {
-      if (code_text[i] == '{') {
-        body = true;
-        break;
-      }
-      if (code_text[i] == ';') break;  // declaration or call statement
-    }
-    if (!body) continue;
-    int braces = 0;
-    std::size_t j = i;
-    for (; j < code_text.size(); ++j) {
-      if (code_text[j] == '{') ++braces;
-      if (code_text[j] == '}' && --braces == 0) break;
-    }
-    if (j >= code_text.size()) continue;
-    return DefRange{line_of(code_text, it->position()), line_of(code_text, j)};
-  }
-  return std::nullopt;
-}
-
 std::string join_range(const std::vector<std::string>& lines,
                        const DefRange& range) {
   std::string out;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <filesystem>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -70,13 +69,6 @@ struct DefRange {
   int begin_line = 0;
   int end_line = 0;
 };
-
-/// Locates the first *definition* (not declaration or call) of `fn_name` in
-/// the blanked code text: the name, a balanced parameter list, then a `{`
-/// before any `;`. String contents are already blanked, so brace matching
-/// cannot be confused by quoted braces.
-std::optional<DefRange> find_definition(const std::string& code_text,
-                                        const std::string& fn_name);
 
 std::string join_range(const std::vector<std::string>& lines,
                        const DefRange& range);

@@ -29,24 +29,14 @@ const std::vector<RuleInfo>& rules() {
        "wall-clock or environment reads (system_clock, time(), getenv) in "
        "src/core/ or src/sim/"},
       {"QL004",
-       "cross-file contract: registry active_set entries must define "
-       "step_users()/active_set_compatible(); every src/**/*.cpp must be "
-       "reachable from a CMakeLists.txt"},
+       "CMake reachability: every src/**/*.cpp must be listed in a "
+       "CMakeLists.txt"},
       {"QL005",
        "float arithmetic in potential.* / satisfaction* accounting"},
       {"QL006", "stale paths in .clang-format-allowlist"},
       {"QL007",
        "steady-clock reads outside src/obs/ (and obs::SteadyClock "
        "instantiation anywhere in src/core/ or src/sim/)"},
-      {"QL008",
-       "snapshot serializer/deserializer field-list contract: every field "
-       "written by snapshot_write/write_snapshot must be read by its "
-       "snapshot_read/read_snapshot counterpart, and vice versa"},
-      {"QL009",
-       "cross-file contract: registry restricted entries must construct "
-       "classes whose restricted_assignment_compatible() returns true (and "
-       "vice versa), and restricted step_users() protocols must sample via "
-       "sample_reachable()/reachable_target()"},
       {"QL010",
        "thread spawning (std::thread construction, std::jthread, std::async, "
        "pthread_create) in src/core/ or src/sim/ outside "
@@ -55,17 +45,15 @@ const std::vector<RuleInfo>& rules() {
        "include-graph layering: each src/ layer may include only the layers "
        "below it in the declared map (engine.{hpp,cpp} and core/async/ are "
        "the sanctioned core->sim/obs orchestration seam)"},
-      {"QL012",
-       "shared-state write reachable from the parallel step path "
-       "(step_users) — migrations must stage in MigrationBuffer "
-       "and apply in commit_round()"},
       {"QL013",
        "PhiloxEngine construction outside src/rng/ whose key does not flow "
        "through derive_seed()/user_stream()/mix64()"},
       {"QL014",
-       "snapshot coverage: every persistent member of a serialized struct "
-       "must be written by its serializer or annotated "
-       "'// qoslb-snapshot: transient' / 'as(name)'"},
+       "snapshot serializers: every field snapshot_write/write_snapshot "
+       "emits must be read by its snapshot_read/read_snapshot counterpart "
+       "and vice versa, and every persistent member of a serialized struct "
+       "must be written or annotated '// qoslb-snapshot: transient' / "
+       "'as(name)'"},
       {"QL015",
        "hot-path hygiene: no locks, heap allocation, or throw reachable from "
        "step_users/commit_round (suppress per call site with "

@@ -24,19 +24,18 @@ struct Context {
 /// blanked code view.
 void rules_tokens(const Context& ctx, std::vector<Finding>& out);
 
-/// QL004/QL006/QL008/QL009/QL016 — cross-file contract checks (protocol
-/// registry, CMake reachability, allowlist staleness, snapshot field
-/// pairing, telemetry schema catalog).
+/// QL004/QL006/QL016 — cross-file contract checks (CMake reachability,
+/// allowlist staleness, telemetry schema catalog).
 void rules_contracts(const Context& ctx, std::vector<Finding>& out);
 
 /// QL011 — include-graph layering over the declared layer map.
 void rules_layering(const Context& ctx, std::vector<Finding>& out);
 
-/// QL012/QL013/QL015 — call-graph reachability rules (shared-state writes in
-/// the step path, RNG key discipline, hot-path hygiene).
+/// QL013/QL015 — call-graph rules (RNG key discipline, hot-path hygiene).
 void rules_callgraph(const Context& ctx, std::vector<Finding>& out);
 
-/// QL014 — snapshot coverage audit (struct fields vs serializer field lists).
+/// QL014 — snapshot serializer audit (writer vs reader field lists, struct
+/// members vs both).
 void rules_snapshot(const Context& ctx, std::vector<Finding>& out);
 
 }  // namespace qoslb::lint

@@ -9,16 +9,9 @@ namespace qoslb::lint {
 
 namespace {
 
-// The parallel step path: functions the engine's decide fan-out may run
-// concurrently against a shared const State — the Protocol::step_users()
-// hook. commit_round() joins it for QL015 only — it runs single-threaded
-// but inside the round loop, so it shares the hot-path hygiene contract
-// while legitimately owning the State mutations QL012 polices.
-const std::vector<std::string>& step_roots() {
-  static const std::vector<std::string> kRoots = {"step_users"};
-  return kRoots;
-}
-
+// The per-round hot path QL015 guards: the Protocol::step_users() hook the
+// engine's decide fan-out runs shard-concurrently, and commit_round(), which
+// runs single-threaded but inside the round loop.
 const std::vector<std::string>& hot_roots() {
   static const std::vector<std::string> kRoots = {"step_users",
                                                   "commit_round"};
@@ -89,50 +82,6 @@ std::vector<std::string> render_path(const Context& ctx,
                   def.name);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// QL012 — shared-state writes inside the parallel step path
-// ---------------------------------------------------------------------------
-
-void rule_ql012(const Context& ctx, std::vector<Finding>& out) {
-  // Mutation shapes on a State (or raw SoA array) receiver. `.move(` can
-  // never be std::move — that call is `::`-qualified, not member access.
-  static const std::vector<std::pair<std::regex, const char*>> kMutations = {
-      {std::regex(R"(\.\s*move\s*\()"), "State::move()"},
-      {std::regex(R"(\.\s*set_resource_live\s*\()"),
-       "State::set_resource_live()"},
-      {std::regex(R"(\.\s*enable_satisfaction_tracking\s*\()"),
-       "State::enable_satisfaction_tracking()"},
-      {std::regex(R"(\.\s*loads\s*\[[^\]]*\]\s*=[^=])"),
-       "raw write to the loads array"},
-      {std::regex(R"(\.\s*assignment\s*\[[^\]]*\]\s*=[^=])"),
-       "raw write to the assignment array"},
-  };
-  const std::vector<std::size_t> parents =
-      ctx.calls.reachable_from(ctx.symbols, step_roots());
-  for (std::size_t i = 0; i < ctx.symbols.functions().size(); ++i) {
-    if (parents[i] == CallGraph::npos) continue;
-    const FunctionDef& fn = ctx.symbols.functions()[i];
-    const std::vector<std::string>* lines = ctx.symbols.scan_lines(fn.file);
-    if (lines == nullptr) continue;
-    for (int line = fn.begin_line; line <= fn.end_line; ++line) {
-      if (line < 1 || static_cast<std::size_t>(line) > lines->size()) continue;
-      const std::string& text = (*lines)[static_cast<std::size_t>(line) - 1];
-      for (const auto& [re, what] : kMutations) {
-        if (!std::regex_search(text, re)) continue;
-        Finding finding{"QL012", ctx.tree.files[fn.file].rel, line,
-                        std::string(what) +
-                            " reached from the parallel step path "
-                            "(step_users runs shard-concurrently "
-                            "against a shared State) — stage the change in "
-                            "the shard's MigrationBuffer and apply it in "
-                            "commit_round()"};
-        finding.why = render_path(ctx, parents, i);
-        out.push_back(std::move(finding));
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +278,6 @@ void rule_ql015(const Context& ctx, std::vector<Finding>& out) {
 }  // namespace
 
 void rules_callgraph(const Context& ctx, std::vector<Finding>& out) {
-  rule_ql012(ctx, out);
   rule_ql013(ctx, out);
   rule_ql015(ctx, out);
 }

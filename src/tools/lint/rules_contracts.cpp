@@ -1,6 +1,5 @@
 #include <cctype>
 #include <filesystem>
-#include <optional>
 #include <regex>
 #include <set>
 #include <utility>
@@ -14,143 +13,10 @@ namespace {
 namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
-// QL004 / QL009 — protocol registry contracts
+// QL004 — CMake reachability
 // ---------------------------------------------------------------------------
 
-/// One row of the protocol registry as recovered from source text.
-struct RegistryEntry {
-  std::string name;         // spec kind, e.g. "uniform"
-  bool active_set = false;  // ProtocolInfo::active_set
-  bool restricted = false;  // ProtocolInfo::restricted
-  std::string class_name;   // protocol class the builder constructs
-  int line = 0;             // anchor in registry.cpp
-};
-
-/// Token-level parse of src/core/protocols/registry.cpp: each entry starts
-/// with `{{"kind"`; the ProtocolInfo flags are read off their
-/// `/*active_set=*/` / `/*restricted=*/` marker comments (an unmarked flag
-/// defaults to false, matching the aggregate initializer), and the builder
-/// either names `std::make_unique<Class>` directly or delegates to a free
-/// helper (`make_neighborhood`) that does.
-std::vector<RegistryEntry> parse_registry(const std::string& raw_text) {
-  std::vector<RegistryEntry> entries;
-  static const std::regex kEntryStart(R"(\{\{\s*"([^"]+)\")");
-  static const std::regex kMakeUnique(R"(make_unique\s*<\s*(\w+)\s*>)");
-  static const std::regex kBuilderRef(R"(\}\s*,\s*(\w+)\s*\}\s*,)");
-  static const std::regex kActiveMarker(R"(active_set=\*/\s*true)");
-  static const std::regex kRestrictedMarker(R"(restricted=\*/\s*true)");
-  std::vector<std::pair<std::size_t, std::string>> starts;
-  for (auto it = std::sregex_iterator(raw_text.begin(), raw_text.end(),
-                                      kEntryStart);
-       it != std::sregex_iterator(); ++it)
-    starts.emplace_back(it->position(), (*it)[1].str());
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    const std::size_t begin = starts[i].first;
-    const std::size_t end =
-        i + 1 < starts.size() ? starts[i + 1].first : raw_text.size();
-    const std::string chunk = raw_text.substr(begin, end - begin);
-    RegistryEntry entry;
-    entry.name = starts[i].second;
-    entry.line = line_of(raw_text, begin);
-    const std::size_t info_end = chunk.find('}');
-    const std::string info =
-        info_end == std::string::npos ? chunk : chunk.substr(0, info_end);
-    entry.active_set = std::regex_search(info, kActiveMarker);
-    entry.restricted = std::regex_search(info, kRestrictedMarker);
-    std::smatch m;
-    if (std::regex_search(chunk, m, kMakeUnique)) {
-      entry.class_name = m[1].str();
-    } else if (std::regex_search(chunk, m, kBuilderRef)) {
-      // Delegating builder: resolve through its definition elsewhere in the
-      // file — the first make_unique<> after the definition's signature.
-      const std::string builder = m[1].str();
-      const std::regex def(builder + R"(\s*\(\s*const\s+ProtocolSpec)");
-      std::smatch dm;
-      if (std::regex_search(raw_text, dm, def)) {
-        const std::string tail = raw_text.substr(dm.position());
-        std::smatch um;
-        if (std::regex_search(tail, um, kMakeUnique))
-          entry.class_name = um[1].str();
-      }
-    }
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
-/// Joined code text of the files that define `class_name`: its class
-/// declaration plus any out-of-line `Class::method` definitions.
-std::string class_code(const std::vector<SourceFile>& files,
-                       const std::string& class_name) {
-  const std::regex decl(R"(\bclass\s+)" + class_name +
-                        R"(\b[^;{]*:\s*public\s+\w+)");
-  const std::regex methods("\\b" + class_name + "::");
-  std::string code;
-  for (const SourceFile& f : files) {
-    const std::string text = join(f.code);
-    if (std::regex_search(text, decl) || std::regex_search(text, methods))
-      code += text + '\n';
-  }
-  return code;
-}
-
-bool returns_true_near(const std::string& code, const std::string& token) {
-  std::size_t pos = code.find(token);
-  while (pos != std::string::npos) {
-    const std::string window = code.substr(pos, 160);
-    if (std::regex_search(window, std::regex(R"(return\s+true)"))) return true;
-    pos = code.find(token, pos + token.size());
-  }
-  return false;
-}
-
-void rule_ql004_registry(const std::vector<SourceFile>& files,
-                         std::vector<Finding>& out) {
-  const std::string kRegistry = "src/core/protocols/registry.cpp";
-  const SourceFile* reg = find_file(files, kRegistry);
-  if (reg == nullptr) return;
-  const std::string raw_text = join(reg->raw);
-  for (const RegistryEntry& e : parse_registry(raw_text)) {
-    if (e.class_name.empty()) {
-      out.push_back({"QL004", kRegistry, e.line,
-                     "registry entry '" + e.name +
-                         "': cannot resolve the protocol class its builder "
-                         "constructs"});
-      continue;
-    }
-    const std::string code = class_code(files, e.class_name);
-    if (code.empty()) {
-      out.push_back({"QL004", kRegistry, e.line,
-                     "registry entry '" + e.name + "' constructs " +
-                         e.class_name + " but no such protocol class is "
-                         "declared in the tree"});
-      continue;
-    }
-    const bool has_step_users =
-        std::regex_search(code, std::regex(R"(\bstep_users\s*\()"));
-    const bool class_active = returns_true_near(code, "active_set_compatible");
-    if (e.active_set && !has_step_users) {
-      out.push_back({"QL004", kRegistry, e.line,
-                     "registry entry '" + e.name + "' declares active_set "
-                     "but " + e.class_name + " does not define step_users()"});
-    }
-    if (e.active_set && !class_active) {
-      out.push_back({"QL004", kRegistry, e.line,
-                     "registry entry '" + e.name + "' declares active_set "
-                     "but " + e.class_name +
-                         "::active_set_compatible() does not return true"});
-    }
-    if (!e.active_set && class_active) {
-      out.push_back({"QL004", kRegistry, e.line,
-                     "registry entry '" + e.name + "' declares active_set = "
-                     "false but " + e.class_name +
-                         "::active_set_compatible() returns true — the "
-                         "engine would silently run it densely"});
-    }
-  }
-}
-
-/// The CMake half of QL004 consumes Tree::cmake_lists — the same discovery
+/// QL004 consumes Tree::cmake_lists — the same discovery
 /// walk that produced the source files and the include graph, so the three
 /// can never disagree about which files exist.
 void rule_ql004_cmake(const Tree& tree, std::vector<Finding>& out) {
@@ -188,52 +54,6 @@ void rule_ql004_cmake(const Tree& tree, std::vector<Finding>& out) {
   }
 }
 
-void rule_ql009_registry(const std::vector<SourceFile>& files,
-                         std::vector<Finding>& out) {
-  const std::string kRegistry = "src/core/protocols/registry.cpp";
-  const SourceFile* reg = find_file(files, kRegistry);
-  if (reg == nullptr) return;
-  const std::string raw_text = join(reg->raw);
-  for (const RegistryEntry& e : parse_registry(raw_text)) {
-    if (e.class_name.empty()) continue;  // QL004 reports the unresolved build
-    const std::string code = class_code(files, e.class_name);
-    if (code.empty()) continue;  // QL004 reports the missing class
-    const bool class_restricted =
-        returns_true_near(code, "restricted_assignment_compatible");
-    if (e.restricted && !class_restricted) {
-      out.push_back({"QL009", kRegistry, e.line,
-                     "registry entry '" + e.name + "' declares restricted "
-                     "but " + e.class_name +
-                         "::restricted_assignment_compatible() does not "
-                         "return true — the engine would reject instances "
-                         "the registry advertises"});
-    }
-    if (!e.restricted && class_restricted) {
-      out.push_back({"QL009", kRegistry, e.line,
-                     "registry entry '" + e.name + "' declares restricted = "
-                     "false but " + e.class_name +
-                         "::restricted_assignment_compatible() returns true "
-                         "— the listing would hide a capability the class "
-                         "implements"});
-    }
-    const bool has_step_users =
-        std::regex_search(code, std::regex(R"(\bstep_users\s*\()"));
-    const bool uses_helper =
-        std::regex_search(code,
-                          std::regex(R"(\bsample_reachable\s*\()")) ||
-        std::regex_search(code, std::regex(R"(\breachable_target\s*\()"));
-    if (e.restricted && class_restricted && has_step_users && !uses_helper) {
-      out.push_back({"QL009", kRegistry, e.line,
-                     "registry entry '" + e.name +
-                         "' is restricted-assignment-compatible but " +
-                         e.class_name +
-                         "::step_users() never samples through "
-                         "sample_reachable()/reachable_target() — raw draws "
-                         "can target unreachable resources"});
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // QL006 — .clang-format-allowlist hygiene
 // ---------------------------------------------------------------------------
@@ -259,50 +79,6 @@ void rule_ql006(const fs::path& root, std::vector<Finding>& out) {
                      "stale entry '" + entry +
                          "': no such file — the format gate would silently "
                          "check nothing"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// QL008 — snapshot serializer/deserializer field-list contract
-// ---------------------------------------------------------------------------
-
-void rule_ql008(const SourceFile& f, std::vector<Finding>& out) {
-  if (!starts_with(f.rel, "src/")) return;
-  // The serializer pairs under contract: the member hooks
-  // (Protocol::snapshot_write/snapshot_read overrides) and the free
-  // checkpoint functions (write_snapshot/read_snapshot). Both halves of a
-  // pair must be defined in the same file for the check to fire — which is
-  // itself the layout the contract wants.
-  static const std::pair<const char*, const char*> kPairs[] = {
-      {"snapshot_write", "snapshot_read"},
-      {"write_snapshot", "read_snapshot"},
-  };
-  const std::string code_text = join(f.code);
-  for (const auto& [writer, reader] : kPairs) {
-    const std::optional<DefRange> wdef = find_definition(code_text, writer);
-    const std::optional<DefRange> rdef = find_definition(code_text, reader);
-    if (!wdef.has_value() || !rdef.has_value()) continue;
-    const std::set<std::string> written =
-        string_literal_fields(join_range(f.raw, *wdef));
-    const std::set<std::string> read =
-        string_literal_fields(join_range(f.raw, *rdef));
-    for (const std::string& field : written) {
-      if (read.count(field) == 0) {
-        out.push_back({"QL008", f.rel, wdef->begin_line,
-                       "snapshot field '" + field + "' written in " + writer +
-                           " but never read in " + reader +
-                           " — a checkpoint round-trip would drop it"});
-      }
-    }
-    for (const std::string& field : read) {
-      if (written.count(field) == 0) {
-        out.push_back({"QL008", f.rel, rdef->begin_line,
-                       "snapshot field '" + field + "' read in " + reader +
-                           " but never written in " + writer +
-                           " — deserialization expects a field the writer "
-                           "never emits"});
-      }
     }
   }
 }
@@ -554,11 +330,8 @@ void rule_ql016(const Tree& tree, std::vector<Finding>& out) {
 }  // namespace
 
 void rules_contracts(const Context& ctx, std::vector<Finding>& out) {
-  for (const SourceFile& f : ctx.tree.files) rule_ql008(f, out);
-  rule_ql004_registry(ctx.tree.files, out);
   rule_ql004_cmake(ctx.tree, out);
   rule_ql006(ctx.tree.root, out);
-  rule_ql009_registry(ctx.tree.files, out);
   rule_ql016(ctx.tree, out);
 }
 

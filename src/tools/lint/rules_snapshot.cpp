@@ -37,14 +37,68 @@ std::string serialized_key(const FieldDef& field) {
   return key;
 }
 
+/// One serializer pair: a struct's snapshot_write/snapshot_read member
+/// hooks, or the free checkpoint functions write_snapshot/read_snapshot.
+/// Each half's field set is the union over its definitions; the first
+/// definition of a half anchors that half's findings.
+struct SerializerPair {
+  std::string owner;  // empty for the free pair
+  std::set<std::string> written;
+  std::set<std::string> read;
+  const FunctionDef* writer = nullptr;
+  const FunctionDef* reader = nullptr;
+
+  std::string writer_name() const {
+    return owner.empty() ? "write_snapshot" : owner + "::snapshot_write";
+  }
+  std::string reader_name() const {
+    return owner.empty() ? "read_snapshot" : owner + "::snapshot_read";
+  }
+};
+
+void add_half(const Context& ctx, const FunctionDef& fn, bool writes,
+              SerializerPair& pair) {
+  const std::set<std::string> fields = def_fields(ctx, fn);
+  (writes ? pair.written : pair.read).insert(fields.begin(), fields.end());
+  const FunctionDef*& anchor = writes ? pair.writer : pair.reader;
+  if (anchor == nullptr) anchor = &fn;
+}
+
+/// Writer/reader symmetry: a field written but never read is dropped on
+/// restore, and a field read but never written fails every restore.
+void check_symmetry(const Context& ctx, const SerializerPair& pair,
+                    std::vector<Finding>& out) {
+  if (pair.writer == nullptr || pair.reader == nullptr) return;
+  for (const std::string& field : pair.written) {
+    if (pair.read.count(field) != 0) continue;
+    out.push_back({"QL014", ctx.tree.files[pair.writer->file].rel,
+                   pair.writer->begin_line,
+                   "snapshot field '" + field + "' written in " +
+                       pair.writer_name() + " but never read in " +
+                       pair.reader_name() +
+                       " — a checkpoint round-trip would drop it"});
+  }
+  for (const std::string& field : pair.read) {
+    if (pair.written.count(field) != 0) continue;
+    out.push_back({"QL014", ctx.tree.files[pair.reader->file].rel,
+                   pair.reader->begin_line,
+                   "snapshot field '" + field + "' read in " +
+                       pair.reader_name() + " but never written in " +
+                       pair.writer_name() +
+                       " — deserialization expects a field the writer "
+                       "never emits"});
+  }
+}
+
+/// Member coverage: every persistent member of `s` maps to a field keyword
+/// one half of its serializer pair names.
 void audit_struct(const Context& ctx, const StructDef& s,
-                  const std::set<std::string>& vocabulary,
-                  const std::string& serializer_desc,
+                  const SerializerPair& pair, const std::string& serializer_desc,
                   std::vector<Finding>& out) {
   for (const FieldDef& field : s.fields) {
     if (field.transient) continue;
     const std::string key = serialized_key(field);
-    if (vocabulary.count(key) != 0) continue;
+    if (pair.written.count(key) != 0 || pair.read.count(key) != 0) continue;
     out.push_back(
         {"QL014", ctx.tree.files[s.file].rel, field.line,
          "member '" + field.name + "' of " + s.name + " is not written by " +
@@ -59,12 +113,15 @@ void audit_struct(const Context& ctx, const StructDef& s,
 }  // namespace
 
 void rules_snapshot(const Context& ctx, std::vector<Finding>& out) {
-  // Member-hook serializers: struct S is audited against its own
-  // S::snapshot_write/snapshot_read pair (out-of-line via the qualifier, or
-  // inline via line containment).
-  std::map<std::string, std::set<std::string>> member_vocab;
-  std::set<std::string> member_audited;
+  // Member-hook pairs, one per owning struct (out-of-line via the
+  // qualifier, or inline via line containment), plus the free pair.
+  std::map<std::string, SerializerPair> member_pairs;
+  SerializerPair free_pair;
   for (const FunctionDef& fn : ctx.symbols.functions()) {
+    if (fn.name == "write_snapshot" || fn.name == "read_snapshot") {
+      add_half(ctx, fn, fn.name == "write_snapshot", free_pair);
+      continue;
+    }
     if (fn.name != "snapshot_write" && fn.name != "snapshot_read") continue;
     std::string owner = fn.qualifier;
     if (owner.empty()) {
@@ -73,27 +130,22 @@ void rules_snapshot(const Context& ctx, std::vector<Finding>& out) {
       if (s == nullptr) continue;
       owner = s->name;
     }
-    member_audited.insert(owner);
-    const std::set<std::string> fields = def_fields(ctx, fn);
-    member_vocab[owner].insert(fields.begin(), fields.end());
+    SerializerPair& pair = member_pairs[owner];
+    pair.owner = owner;
+    add_half(ctx, fn, fn.name == "snapshot_write", pair);
   }
+  for (const auto& [owner, pair] : member_pairs) check_symmetry(ctx, pair, out);
+  check_symmetry(ctx, free_pair, out);
 
-  // Free-function vocabulary for the table-audited structs.
-  std::set<std::string> free_vocab;
-  bool free_serializer_seen = false;
-  for (const FunctionDef& fn : ctx.symbols.functions()) {
-    if (fn.name != "write_snapshot" && fn.name != "read_snapshot") continue;
-    free_serializer_seen = true;
-    const std::set<std::string> fields = def_fields(ctx, fn);
-    free_vocab.insert(fields.begin(), fields.end());
-  }
-
+  const bool free_serializer_seen =
+      free_pair.writer != nullptr || free_pair.reader != nullptr;
   for (const StructDef& s : ctx.symbols.structs()) {
-    if (member_audited.count(s.name) != 0) {
-      audit_struct(ctx, s, member_vocab[s.name],
+    const auto member = member_pairs.find(s.name);
+    if (member != member_pairs.end()) {
+      audit_struct(ctx, s, member->second,
                    s.name + "::snapshot_write/snapshot_read", out);
     } else if (free_serializer_seen && table_audited().count(s.name) != 0) {
-      audit_struct(ctx, s, free_vocab, "write_snapshot/read_snapshot", out);
+      audit_struct(ctx, s, free_pair, "write_snapshot/read_snapshot", out);
     }
   }
 }

@@ -291,12 +291,6 @@ std::vector<std::size_t> SymbolIndex::functions_named(
   return out;
 }
 
-const StructDef* SymbolIndex::struct_named(const std::string& name) const {
-  for (const StructDef& s : structs_)
-    if (s.name == name) return &s;
-  return nullptr;
-}
-
 const std::vector<std::string>* SymbolIndex::scan_lines(
     std::size_t file) const {
   const auto it = scan_.find(file);

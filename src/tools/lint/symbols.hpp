@@ -9,8 +9,7 @@
 
 // Pass 3 of the analyzer: the symbol index. Scans the blanked code view of
 // every src/** file for function definitions and struct/class field lists —
-// no libclang, just the same balanced-delimiter heuristics the QL008 snapshot
-// checker has always used, generalized to the whole tree. Preprocessor lines
+// no libclang, just balanced-delimiter heuristics. Preprocessor lines
 // are blanked before scanning, so macro *bodies* (QOSLB_REQUIRE and friends)
 // are invisible: a macro-mediated throw is part of the check-macro contract,
 // not of the function that invokes it (docs/static-analysis.md).
@@ -69,8 +68,6 @@ class SymbolIndex {
   /// Indices of every function named `name` (conservative name-based
   /// resolution: overloads and same-named methods all match).
   std::vector<std::size_t> functions_named(const std::string& name) const;
-
-  const StructDef* struct_named(const std::string& name) const;
 
   /// The preprocessor-stripped code view of a scanned file, or nullptr when
   /// the file was outside the index's scope.

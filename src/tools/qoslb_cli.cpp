@@ -587,8 +587,8 @@ int main(int argc, char** argv) {
       for (const ProtocolInfo& info : protocol_registry())
         std::cout << info.name << std::string(width - info.name.size() + 2, ' ')
                   << info.description
-                  << (info.active_set ? "  [active-set]" : "")
-                  << (info.restricted ? "  [restricted]" : "") << '\n';
+                  << (info.traits.active_set ? "  [active-set]" : "")
+                  << (info.traits.restricted ? "  [restricted]" : "") << '\n';
       return 0;
     }
     const std::string mode = args.get_string("mode", "run");

@@ -31,6 +31,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/dynamics/hybrid.hpp"
@@ -293,13 +294,13 @@ TEST(EngineSharded, FallsBackToSequentialWithoutStepUsers) {
 /// stable after a fixed number of rounds.
 class VisitCounter : public Protocol {
  public:
-  VisitCounter(std::size_t users, std::uint64_t rounds)
-      : visits_(users), rounds_(rounds) {}
+  VisitCounter(std::size_t users, std::uint64_t rounds,
+               ProtocolTraits traits = {.sharded = true})
+      : Protocol(traits), visits_(users), rounds_(rounds) {}
   std::string name() const override { return "visit-counter"; }
-  bool supports_step_users() const override { return true; }
   void step_users(const State&, const std::vector<int>&, const UserId* users,
                   std::size_t count, MigrationBuffer&, const RoundRng&,
-                  Counters& counters) override {
+                  Counters& counters) const override {
     for (std::size_t i = 0; i < count; ++i)
       visits_[users[i]].fetch_add(1, std::memory_order_relaxed);
     counters.probes += count;
@@ -317,7 +318,8 @@ class VisitCounter : public Protocol {
   }
 
  private:
-  std::vector<std::atomic<int>> visits_;
+  // Written by the const decide hook, once per visit, from every worker.
+  mutable std::vector<std::atomic<int>> visits_;
   std::uint64_t rounds_;
   std::vector<std::size_t> shards_per_commit_;
 };
@@ -342,6 +344,132 @@ TEST(EngineSharded, DecideVisitsEveryUserOncePerRound) {
         << label;
     // Every shard's private tally reaches the run's counters.
     EXPECT_EQ(result.counters.probes, 600u) << label;
+  }
+}
+
+/// Everyone on resource 0 except users 0..29, spread over resources 1..3:
+/// the crowd on resource 0 is unsatisfied, the spread users are not.
+State crowded_start(const Instance& instance) {
+  State state = State::all_on(instance, 0);
+  for (UserId u = 0; u < 30; ++u) state.move(u, 1 + u % 3);
+  return state;
+}
+
+/// Users of `state` that are satisfied (true) or not (false).
+std::vector<UserId> users_by_satisfaction(const State& state, bool satisfied) {
+  std::vector<UserId> users;
+  for (UserId u = 0; u < state.num_users(); ++u)
+    if (state.satisfied(u) == satisfied) users.push_back(u);
+  return users;
+}
+
+TEST(EngineSharded, ActiveModeVisitsOnlyUnsatisfiedUsersWithTheActiveSetTrait) {
+  // VisitCounter never moves anyone, so the unsatisfied set of the start
+  // state is the iteration set of every round.
+  const Instance instance = test_instance(100, 4, 5);
+  State state = crowded_start(instance);
+  const std::vector<UserId> satisfied = users_by_satisfaction(state, true);
+  const std::vector<UserId> unsatisfied = users_by_satisfaction(state, false);
+  ASSERT_FALSE(satisfied.empty());
+  ASSERT_FALSE(unsatisfied.empty());
+  VisitCounter protocol(instance.num_users(), 4,
+                        {.sharded = true, .active_set = true});
+  EngineConfig config;
+  config.mode = EngineMode::kActive;
+  config.stability_check_period = 1;
+  Xoshiro256 rng(3);
+  const EngineResult result = Engine(config).run(protocol, state, rng);
+  ASSERT_EQ(result.rounds, 4u);
+  for (const UserId u : unsatisfied) EXPECT_EQ(protocol.visits(u), 4) << u;
+  for (const UserId u : satisfied) EXPECT_EQ(protocol.visits(u), 0) << u;
+  EXPECT_EQ(result.counters.probes, 4 * unsatisfied.size());
+}
+
+TEST(EngineSharded, ActiveModeKeepsTheDenseScanWithoutTheActiveSetTrait) {
+  // Same start as above, but the protocol does not declare active_set
+  // (berenbrink's case): satisfied users are decided for every round too.
+  const Instance instance = test_instance(100, 4, 5);
+  State state = crowded_start(instance);
+  ASSERT_FALSE(users_by_satisfaction(state, true).empty());
+  VisitCounter protocol(instance.num_users(), 4, {.sharded = true});
+  EngineConfig config;
+  config.mode = EngineMode::kActive;
+  config.stability_check_period = 1;
+  Xoshiro256 rng(3);
+  const EngineResult result = Engine(config).run(protocol, state, rng);
+  ASSERT_EQ(result.rounds, 4u);
+  for (UserId u = 0; u < instance.num_users(); ++u)
+    EXPECT_EQ(protocol.visits(u), 4) << u;
+  EXPECT_EQ(result.counters.probes, 400u);
+}
+
+// step_users() is a const member taking a const State: a decide hook that
+// mutated the protocol or the state would not compile.
+static_assert(
+    std::is_same_v<decltype(&Protocol::step_users),
+                   void (Protocol::*)(const State&, const std::vector<int>&,
+                                      const UserId*, std::size_t,
+                                      MigrationBuffer&, const RoundRng&,
+                                      Counters&) const>);
+
+/// Implements both round bodies and counts which one the engine drives;
+/// the two runs below differ only in the traits it is built with.
+class BodyProbe : public Protocol {
+ public:
+  BodyProbe(ProtocolTraits traits, std::uint64_t rounds)
+      : Protocol(traits), rounds_(rounds) {}
+  std::string name() const override { return "body-probe"; }
+  void step(State&, Xoshiro256&, Counters&) override { ++steps_; }
+  void step_users(const State&, const std::vector<int>&, const UserId*,
+                  std::size_t count, MigrationBuffer&, const RoundRng&,
+                  Counters&) const override {
+    decided_.fetch_add(count, std::memory_order_relaxed);
+  }
+  void commit_round(State&, std::vector<MigrationBuffer>&,
+                    Counters&) override {
+    ++commits_;
+  }
+  bool is_stable(const State&) const override {
+    return steps_ + commits_ >= rounds_;
+  }
+  std::uint64_t steps() const { return steps_; }
+  std::uint64_t commits() const { return commits_; }
+  std::size_t decided() const { return decided_.load(); }
+
+ private:
+  mutable std::atomic<std::size_t> decided_{0};
+  std::uint64_t steps_ = 0;
+  std::uint64_t commits_ = 0;
+  std::uint64_t rounds_;
+};
+
+TEST(EngineSharded, ShardedTraitChoosesTheRoundBody) {
+  const Instance instance = test_instance(100, 4, 5);
+  EngineConfig config;
+  config.threads = 3;
+  config.stability_check_period = 1;
+  {
+    State state = State::all_on(instance, 0);
+    BodyProbe protocol({}, 5);
+    Xoshiro256 rng(3);
+    const EngineResult result = Engine(config).run(protocol, state, rng);
+    EXPECT_EQ(result.rounds, 5u);
+    EXPECT_EQ(protocol.steps(), 5u);
+    EXPECT_EQ(protocol.commits(), 0u);
+    EXPECT_EQ(protocol.decided(), 0u);
+    // step() runs inline on the caller's thread, whatever config.threads.
+    EXPECT_EQ(result.threads_used, 1u);
+  }
+  {
+    State state = State::all_on(instance, 0);
+    BodyProbe protocol({.sharded = true}, 5);
+    Xoshiro256 rng(3);
+    const EngineResult result = Engine(config).run(protocol, state, rng);
+    EXPECT_EQ(result.rounds, 5u);
+    EXPECT_EQ(protocol.steps(), 0u);
+    EXPECT_EQ(protocol.commits(), 5u);
+    EXPECT_EQ(protocol.decided(), 500u);
+    EXPECT_EQ(result.threads_used, 3u);
   }
 }
 
@@ -732,17 +860,25 @@ TEST(Registry, EveryKindHasInfoAndBuilds) {
   }
 }
 
-TEST(Registry, ActiveSetFlagsMatchTheProtocols) {
+TEST(Registry, AllThreeTraitsMatchTheBuiltProtocols) {
+  // A class that declares kTraits but forgets to hand them to the Protocol
+  // constructor would list one capability and run with another.
   const Graph ring = make_ring(8);
   for (const ProtocolInfo& info : protocol_registry()) {
     ProtocolSpec spec;
     spec.kind = info.name;
     spec.graph = &ring;
     const auto protocol = make_protocol(spec);
-    EXPECT_EQ(info.active_set, protocol->active_set_compatible()) << info.name;
+    EXPECT_EQ(info.traits.sharded, protocol->supports_step_users())
+        << info.name;
+    EXPECT_EQ(info.traits.active_set, protocol->active_set_compatible())
+        << info.name;
+    EXPECT_EQ(info.traits.restricted,
+              protocol->restricted_assignment_compatible())
+        << info.name;
     // active_set implies the sharded hooks exist at all.
-    if (info.active_set) {
-      EXPECT_TRUE(protocol->supports_step_users());
+    if (info.traits.active_set) {
+      EXPECT_TRUE(info.traits.sharded) << info.name;
     }
   }
 }

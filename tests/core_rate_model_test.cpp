@@ -19,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -115,8 +116,8 @@ TEST(RateModel, AllThreshold0UserRunsWithoutCrashAndStaysUnsatisfied) {
 }
 
 TEST(RateModel, EngineRejectsRestrictedInstanceForNonOptedInProtocol) {
-  // "cached" is registered /*restricted=*/false: its probe cache samples the
-  // whole live list and would migrate users onto rate-0 pairs.
+  // CachedSampling::kTraits leaves `restricted` false: its probe cache
+  // samples the whole live list and would migrate users onto rate-0 pairs.
   Xoshiro256 gen_rng(5);
   const Instance instance = make_clustered_bipartite(64, 16, 4, 1, 0.2, gen_rng);
   ASSERT_TRUE(instance.restricted());
@@ -131,6 +132,49 @@ TEST(RateModel, EngineRejectsRestrictedInstanceForNonOptedInProtocol) {
   EXPECT_NE(message.find("does not support restricted-assignment instances"),
             std::string::npos)
       << message;
+}
+
+namespace {
+
+/// A sharded protocol without dynamics, stable from the start; instances
+/// differ only in the `restricted` trait they are built with.
+class IdleProtocol : public Protocol {
+ public:
+  explicit IdleProtocol(bool restricted)
+      : Protocol({.sharded = true, .restricted = restricted}) {}
+  std::string name() const override { return "idle"; }
+  void step_users(const State&, const std::vector<int>&, const UserId*,
+                  std::size_t, MigrationBuffer&, const RoundRng&,
+                  Counters&) const override {}
+  void commit_round(State&, std::vector<MigrationBuffer>&,
+                    Counters&) override {}
+  bool is_stable(const State&) const override { return true; }
+};
+
+}  // namespace
+
+TEST(RateModel, EngineGatesRestrictedInstancesOnTheRestrictedTrait) {
+  Xoshiro256 gen_rng(5);
+  const Instance restricted =
+      make_clustered_bipartite(64, 16, 4, 1, 0.2, gen_rng);
+  ASSERT_TRUE(restricted.restricted());
+  const Instance unrestricted = make_uniform_feasible(64, 16, 0.5, 1.5, gen_rng);
+  ASSERT_FALSE(unrestricted.restricted());
+  const auto run = [&](const Instance& instance, bool trait) {
+    State state = State::random(instance, gen_rng);
+    IdleProtocol protocol(trait);
+    Xoshiro256 rng(99);
+    return Engine().run(protocol, state, rng);
+  };
+  const std::string message = thrown_message([&] { run(restricted, false); });
+  EXPECT_NE(message.find("protocol 'idle' does not support "
+                         "restricted-assignment instances"),
+            std::string::npos)
+      << message;
+  EXPECT_TRUE(run(restricted, true).converged);
+  // Unrestricted instances take a protocol either way.
+  EXPECT_TRUE(run(unrestricted, false).converged);
+  EXPECT_TRUE(run(unrestricted, true).converged);
 }
 
 TEST(RateModel, ChurnEvictingOnlyReachableResourceReportsStrandedUser) {
@@ -255,7 +299,7 @@ TEST(RateModel, HeterogeneousRunsAreThreadAndModeInvariant) {
   const Graph ring = make_ring(32);
   std::vector<ProtocolSpec> specs;
   for (const ProtocolInfo& info : protocol_registry()) {
-    if (!info.restricted) continue;
+    if (!info.traits.restricted) continue;
     ProtocolSpec spec;
     spec.kind = info.name;
     spec.lambda = 0.5;
@@ -287,6 +331,64 @@ TEST(RateModel, HeterogeneousRunsAreThreadAndModeInvariant) {
       }
     }
   }
+}
+
+// The sampling half of the restricted-assignment contract. A restricted
+// instance whose users all reach the same first k of m resources (rate 1
+// there, 0 on the rest) is the unrestricted k-resource instance plus m - k
+// resources nobody can use, so every restricted kind must run it exactly
+// as it runs the k-resource instance: sample_reachable() and
+// reachable_target() turn the same Philox draw into the same resource. A
+// draw over the whole live list ranges over all m resources and changes the
+// realization even where the threshold gate keeps every move legal, which
+// is when State::move()'s reachability check cannot notice it.
+TEST(RateModel, SharedReachableSetRunsLikeTheUnrestrictedSubInstance) {
+  const std::size_t n = 600, k = 8, m = 24;
+  Xoshiro256 gen_rng(41);
+  const Instance sub = make_uniform_feasible(n, k, 0.5, 1.5, gen_rng);
+  std::vector<double> capacities(m, sub.capacity(0));
+  std::vector<double> requirements(n);
+  std::vector<RateEdge> edges;
+  for (ResourceId r = 0; r < k; ++r) capacities[r] = sub.capacity(r);
+  for (UserId u = 0; u < n; ++u) {
+    requirements[u] = sub.requirement(u);
+    for (ResourceId r = 0; r < k; ++r) edges.push_back({u, r, 1.0});
+  }
+  const Instance full(capacities, requirements,
+                      RateModel::bipartite(n, m, std::move(edges)));
+  ASSERT_TRUE(full.restricted());
+  for (UserId u = 0; u < n; ++u)
+    for (ResourceId r = 0; r < k; ++r)
+      ASSERT_EQ(full.threshold(u, r), sub.threshold(u, r));
+
+  // nbr-* kinds: the same ring over the shared resources; the rest are
+  // isolated vertices.
+  std::vector<Edge> ring;
+  for (Vertex v = 0; v < k; ++v)
+    ring.emplace_back(v, static_cast<Vertex>((v + 1) % k));
+  const Graph sub_graph = Graph::from_edges(k, ring);
+  const Graph full_graph = Graph::from_edges(m, ring);
+
+  std::size_t kinds = 0;
+  for (const ProtocolInfo& info : protocol_registry()) {
+    if (!info.traits.restricted) continue;
+    ++kinds;
+    const auto run = [&](const Instance& instance, const Graph& graph) {
+      ProtocolSpec spec;
+      spec.kind = info.name;
+      spec.lambda = 0.5;
+      spec.graph = &graph;
+      const auto protocol = make_protocol(spec);
+      State state = State::all_on(instance, 0);
+      EngineConfig config;
+      config.max_rounds = 200;
+      Xoshiro256 rng(5);
+      const EngineResult result = Engine(config).run(*protocol, state, rng);
+      return std::make_pair(state.assignment(), result.rounds);
+    };
+    EXPECT_EQ(run(full, full_graph), run(sub, sub_graph)) << info.name;
+  }
+  EXPECT_GE(kinds, 8u);
 }
 
 TEST(RateModel, WeightedInstanceAppliesSpeedsToThresholds) {

@@ -1,4 +1,4 @@
-// QL008 fixture: the serializer/deserializer field lists disagree in both
+// QL014 fixture: the serializer/deserializer field lists disagree in both
 // directions — "beta" is written but never read, "gamma" is read but never
 // written. "alpha" agrees and must not be flagged; the quoted word "delta"
 // appears only in this comment and must be ignored.

@@ -3,16 +3,18 @@
 // Minimal machine-readable bench output (BENCH_*.json): a bench name plus a
 // flat array of row objects, written next to the human-readable table so CI
 // and plotting scripts can track throughput without parsing stdout. No
-// external JSON dependency — fields are emitted in insertion order and
-// values are limited to the types benches actually produce.
+// external JSON dependency — fields are emitted in insertion order, values
+// are limited to the types benches actually produce, and strings and
+// doubles go through util/json's encoders like every other artifact.
 
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace qoslb::bench {
 
@@ -20,21 +22,13 @@ namespace qoslb::bench {
 class JsonRow {
  public:
   JsonRow& field(const std::string& key, const std::string& value) {
-    std::string escaped;
-    for (const char c : value) {
-      if (c == '"' || c == '\\') escaped += '\\';
-      escaped += c;
-    }
-    return raw(key, '"' + escaped + '"');
+    return raw(key, '"' + json::escape(value) + '"');
   }
   JsonRow& field(const std::string& key, const char* value) {
     return field(key, std::string(value));
   }
   JsonRow& field(const std::string& key, double value) {
-    std::ostringstream out;
-    out.precision(12);
-    out << value;
-    return raw(key, out.str());
+    return raw(key, json::number(value));
   }
   JsonRow& field(const std::string& key, unsigned long long value) {
     return raw(key, std::to_string(value));

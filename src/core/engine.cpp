@@ -90,14 +90,11 @@ void export_metrics(const obs::Telemetry& options, EngineResult& result,
       const obs::PerfSample& sample = result.telemetry.perf.totals[i];
       if (sample.cycles == 0 && sample.instructions == 0) continue;
       const auto phase = static_cast<obs::Phase>(i);
-      const std::string prefix = std::string("perf/") + obs::phase_name(phase);
-      m.set(m.gauge(prefix + "_cycles"), static_cast<double>(sample.cycles));
-      m.set(m.gauge(prefix + "_instructions"),
-            static_cast<double>(sample.instructions));
-      m.set(m.gauge(prefix + "_cache_misses"),
-            static_cast<double>(sample.cache_misses));
-      m.set(m.gauge(prefix + "_branch_misses"),
-            static_cast<double>(sample.branch_misses));
+      const std::string prefix =
+          std::string("perf/") + obs::phase_name(phase) + "_";
+      for (const obs::PerfField& field : obs::kPerfFields)
+        m.set(m.gauge(prefix + field.suffix),
+              static_cast<double>(sample.*field.member));
     }
   }
 }

@@ -1,26 +1,11 @@
 #include "obs/decision_sink.hpp"
 
 #include <ostream>
-#include <sstream>
+
+#include "util/json.hpp"
 
 namespace qoslb::obs {
 namespace {
-
-std::string fmt(double value) {
-  std::ostringstream out;
-  out.precision(12);
-  out << value;
-  return out.str();
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 const char* flag(bool value) { return value ? "true" : "false"; }
 
@@ -61,11 +46,11 @@ void MemoryDecisionSink::clear() {
 void JsonlDecisionSink::begin_run(const TraceRunInfo& info,
                                   std::uint64_t sample_every) {
   decisions_ = spans_ = findings_ = 0;
-  *out_ << "{\"kind\":\"begin\",\"protocol\":\"" << escape(info.protocol)
-        << "\",\"users\":" << info.users
+  *out_ << "{\"kind\":\"begin\",\"protocol\":\""
+        << json::escape(info.protocol) << "\",\"users\":" << info.users
         << ",\"resources\":" << info.resources << ",\"seed\":" << info.seed
         << ",\"threads\":" << info.threads << ",\"mode\":\""
-        << escape(info.mode) << "\",\"sample_every\":" << sample_every
+        << json::escape(info.mode) << "\",\"sample_every\":" << sample_every
         << "}\n";
 }
 
@@ -84,10 +69,10 @@ void JsonlDecisionSink::decision(const DecisionEvent& event) {
 void JsonlDecisionSink::span(const SpanEvent& event) {
   ++spans_;
   *out_ << "{\"kind\":\"span\",\"span\":" << event.span
-        << ",\"user\":" << event.user << ",\"op\":\"" << escape(event.op)
-        << "\",\"msg\":\"" << escape(event.msg)
+        << ",\"user\":" << event.user << ",\"op\":\""
+        << json::escape(event.op) << "\",\"msg\":\"" << json::escape(event.msg)
         << "\",\"target\":" << event.target << ",\"seq\":" << event.seq
-        << ",\"time\":" << fmt(event.time) << "}\n";
+        << ",\"time\":" << json::number(event.time) << "}\n";
 }
 
 void JsonlDecisionSink::diag(const DiagRow& row) {
@@ -96,19 +81,19 @@ void JsonlDecisionSink::diag(const DiagRow& row) {
         << ",\"inflow_max\":" << row.inflow_max
         << ",\"inflow_argmax\":" << row.inflow_argmax
         << ",\"outflow_at_argmax\":" << row.outflow_at_argmax
-        << ",\"herding_ratio\":" << fmt(row.herding_ratio)
-        << ",\"l_inf\":" << fmt(row.l_inf) << ",\"l2\":" << fmt(row.l2)
-        << "}\n";
+        << ",\"herding_ratio\":" << json::number(row.herding_ratio)
+        << ",\"l_inf\":" << json::number(row.l_inf)
+        << ",\"l2\":" << json::number(row.l2) << "}\n";
 }
 
 void JsonlDecisionSink::finding(const DecisionFinding& finding) {
   ++findings_;
-  *out_ << "{\"kind\":\"finding\",\"detector\":\"" << escape(finding.detector)
-        << "\",\"round\":" << finding.round
+  *out_ << "{\"kind\":\"finding\",\"detector\":\""
+        << json::escape(finding.detector) << "\",\"round\":" << finding.round
         << ",\"resource\":" << finding.resource
         << ",\"inflow\":" << finding.inflow
         << ",\"outflow\":" << finding.outflow
-        << ",\"ratio\":" << fmt(finding.ratio) << "}\n";
+        << ",\"ratio\":" << json::number(finding.ratio) << "}\n";
 }
 
 void JsonlDecisionSink::end_run() {

@@ -115,8 +115,9 @@ class MemoryDecisionSink final : public DecisionSink {
   std::vector<DecisionFinding> findings_;
 };
 
-/// One kind-tagged JSON object per line (schema golden-tested in
-/// tests/obs_trace_test.cpp, catalogued in docs/observability.md):
+/// One kind-tagged JSON object per line (keys declared in obs/schema.hpp,
+/// golden-tested in tests/obs_trace_test.cpp, catalogued in
+/// docs/observability.md):
 ///   {"kind":"begin","protocol":...,...,"sample_every":k}
 ///   {"kind":"decision","round":...,"user":...,...}
 ///   {"kind":"span","span":...,"op":...,...}

@@ -1,32 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <ostream>
-#include <sstream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace qoslb::obs {
-namespace {
-
-// Matches bench/bench_json.hpp number formatting so downstream parsers see
-// one convention.
-std::string fmt(double value) {
-  std::ostringstream out;
-  out.precision(12);
-  out << value;
-  return out.str();
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
 
 CounterHandle MetricsRegistry::counter(const std::string& name) {
   const CounterHandle existing = find_counter(name);
@@ -147,20 +126,21 @@ void MetricsRegistry::write_jsonl(std::ostream& out) const {
     switch (slot.kind) {
       case Kind::kCounter: {
         const CounterEntry& entry = counters_[slot.index];
-        out << "{\"metric\":\"" << escape(entry.name)
+        out << "{\"metric\":\"" << json::escape(entry.name)
             << "\",\"type\":\"counter\",\"value\":" << entry.value << "}\n";
         break;
       }
       case Kind::kGauge: {
         const GaugeEntry& entry = gauges_[slot.index];
-        out << "{\"metric\":\"" << escape(entry.name)
-            << "\",\"type\":\"gauge\",\"value\":" << fmt(entry.value) << "}\n";
+        out << "{\"metric\":\"" << json::escape(entry.name)
+            << "\",\"type\":\"gauge\",\"value\":"
+            << json::number(entry.value) << "}\n";
         break;
       }
       case Kind::kHistogram: {
         const HistogramEntry& entry = histograms_[slot.index];
         const Histogram& h = entry.data;
-        out << "{\"metric\":\"" << escape(entry.name)
+        out << "{\"metric\":\"" << json::escape(entry.name)
             << "\",\"type\":\"histogram\",\"total\":" << h.total()
             << ",\"underflow\":" << h.underflow()
             << ",\"overflow\":" << h.overflow() << ",\"buckets\":[";
@@ -169,8 +149,8 @@ void MetricsRegistry::write_jsonl(std::ostream& out) const {
           if (h.count(b) == 0) continue;
           if (!first) out << ',';
           first = false;
-          out << "{\"lo\":" << fmt(h.bucket_lo(b))
-              << ",\"hi\":" << fmt(h.bucket_hi(b))
+          out << "{\"lo\":" << json::number(h.bucket_lo(b))
+              << ",\"hi\":" << json::number(h.bucket_hi(b))
               << ",\"count\":" << h.count(b) << '}';
         }
         out << "]}\n";

@@ -61,7 +61,8 @@ class MetricsRegistry {
   /// metrics analogue of the engine's shard-ordered Counters merge.
   void merge(const MetricsRegistry& other);
 
-  /// One JSON object per line, in registration order:
+  /// One JSON object per line, in registration order (keys declared in
+  /// obs/schema.hpp):
   ///   {"metric":"engine/rounds","type":"counter","value":12}
   ///   {"metric":"state/potential","type":"gauge","value":42.5}
   ///   {"metric":"...","type":"histogram","total":...,"underflow":...,

@@ -16,6 +16,22 @@ struct PerfSample {
   std::uint64_t branch_misses = 0;
 };
 
+/// One per-phase perf gauge: `perf/<phase>_<suffix>` reads `member`.
+struct PerfField {
+  const char* suffix;
+  std::uint64_t PerfSample::*member;
+};
+
+/// Every PerfSample counter, in gauge registration order. The metric names
+/// come from this table, not from a run, because the counters read zero
+/// (and register nothing) wherever perf_event_open is denied.
+inline constexpr PerfField kPerfFields[] = {
+    {"cycles", &PerfSample::cycles},
+    {"instructions", &PerfSample::instructions},
+    {"cache_misses", &PerfSample::cache_misses},
+    {"branch_misses", &PerfSample::branch_misses},
+};
+
 /// Thin `perf_event_open` wrapper: opens cycles / instructions /
 /// cache-misses / branch-misses counters for the *calling thread* and reads
 /// them on demand. Where the syscall is unavailable or forbidden (non-Linux,

@@ -1,31 +1,12 @@
 #include "obs/trace_sink.hpp"
 
 #include <ostream>
-#include <sstream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace qoslb::obs {
-namespace {
-
-std::string fmt(double value) {
-  std::ostringstream out;
-  out.precision(12);
-  out << value;
-  return out.str();
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
 
 // ---- MemoryTraceSink ----
 
@@ -43,18 +24,18 @@ void MemoryTraceSink::clear() {
 // ---- JsonlTraceSink ----
 
 void JsonlTraceSink::begin_run(const TraceRunInfo& info) {
-  *out_ << "{\"event\":\"begin\",\"protocol\":\"" << escape(info.protocol)
+  *out_ << "{\"event\":\"begin\",\"protocol\":\"" << json::escape(info.protocol)
         << "\",\"users\":" << info.users
         << ",\"resources\":" << info.resources << ",\"seed\":" << info.seed
         << ",\"threads\":" << info.threads << ",\"mode\":\""
-        << escape(info.mode) << "\"}\n";
+        << json::escape(info.mode) << "\"}\n";
 }
 
 void JsonlTraceSink::row(const TraceRow& row) {
   *out_ << "{\"round\":" << row.round << ",\"unsatisfied\":" << row.unsatisfied
         << ",\"migrations\":" << row.migrations
         << ",\"messages\":" << row.messages << ",\"max_load\":" << row.max_load
-        << ",\"potential\":" << fmt(row.potential)
+        << ",\"potential\":" << json::number(row.potential)
         << ",\"active_size\":" << row.active_size << "}\n";
 }
 
@@ -75,7 +56,8 @@ void CsvTraceSink::begin_run(const TraceRunInfo& info) {
 
 void CsvTraceSink::row(const TraceRow& row) {
   *out_ << row.round << ',' << row.unsatisfied << ',' << row.migrations << ','
-        << row.messages << ',' << row.max_load << ',' << fmt(row.potential)
+        << row.messages << ',' << row.max_load << ','
+        << json::number(row.potential)
         << ',' << row.active_size << '\n';
 }
 

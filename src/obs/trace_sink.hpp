@@ -60,8 +60,8 @@ class MemoryTraceSink final : public TraceSink {
   std::vector<TraceRow> rows_;
 };
 
-/// One JSON object per line (schema golden-tested in
-/// tests/obs_trace_test.cpp, documented in docs/observability.md):
+/// One JSON object per line (keys declared in obs/schema.hpp, golden-tested
+/// in tests/obs_trace_test.cpp, documented in docs/observability.md):
 ///   {"event":"begin","protocol":...,"users":...,"resources":...,
 ///    "seed":...,"threads":...,"mode":...}
 ///   {"round":0,"unsatisfied":...,...,"active_size":...}

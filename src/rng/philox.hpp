@@ -23,14 +23,19 @@ class Philox4x32 {
   static std::uint64_t at(std::uint64_t key, std::uint64_t index);
 };
 
+class RoundRng;
+
 /// Sequential engine facade over Philox: UniformRandomBitGenerator-compliant,
 /// with the (stream, position) pair explicit so streams never overlap.
+///
+/// The keying constructor is private: the only way to obtain an engine is
+/// RoundRng::user_stream(), which keys it by (seed, round, user). A raw-keyed
+/// stream (`seed + round`, `seed ^ u`) would collide with another context's
+/// substream, so it does not compile (tests/rng_engines_test.cpp asserts
+/// this). Copies stay public: a stream is a value.
 class PhiloxEngine {
  public:
   using result_type = std::uint64_t;
-
-  explicit PhiloxEngine(std::uint64_t key, std::uint64_t start_index = 0)
-      : key_(key), index_(start_index) {}
 
   std::uint64_t operator()() { return Philox4x32::at(key_, index_++); }
 
@@ -42,6 +47,10 @@ class PhiloxEngine {
   void seek(std::uint64_t index) { index_ = index; }
 
  private:
+  friend class RoundRng;
+
+  explicit PhiloxEngine(std::uint64_t key) : key_(key), index_(0) {}
+
   std::uint64_t key_;
   std::uint64_t index_;
 };

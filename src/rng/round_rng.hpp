@@ -16,7 +16,8 @@ namespace qoslb {
 /// Because a user's draws depend only on (seed, round, user) — never on which
 /// shard, thread, or iteration set the user was visited through — dense
 /// scans, active-set scans, and any thread count all produce bit-identical
-/// realizations. Copy-cheap (a single 64-bit key).
+/// realizations. Copy-cheap (a single 64-bit key). user_stream() is the only
+/// code that can construct a PhiloxEngine, so every stream is keyed this way.
 class RoundRng {
  public:
   RoundRng() = default;

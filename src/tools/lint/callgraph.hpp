@@ -10,7 +10,7 @@
 // symbol index. An identifier followed by `(` inside a function body is an
 // edge to *every* project function with that name — no overload resolution,
 // no virtual dispatch analysis. That over-approximation is exactly what the
-// call-graph rules (QL013/QL015) want: a finding is suppressed only
+// call-graph rule (QL015) wants: a finding is suppressed only
 // when no name-plausible path exists, never because dispatch was guessed.
 // Calls qualified with `std::` (or any non-project qualifier) are skipped.
 namespace qoslb::lint {
@@ -18,11 +18,6 @@ namespace qoslb::lint {
 class CallGraph {
  public:
   static CallGraph build(const Tree& tree, const SymbolIndex& index);
-
-  /// Callee function indices of `fn` (indices into SymbolIndex::functions()).
-  const std::vector<std::size_t>& callees_of(std::size_t fn) const {
-    return edges_[fn];
-  }
 
   /// BFS over the call graph from every function whose *name* is in
   /// `root_names`. Returns a parent array sized like functions(): npos for

@@ -45,9 +45,6 @@ const std::vector<RuleInfo>& rules() {
        "include-graph layering: each src/ layer may include only the layers "
        "below it in the declared map (engine.{hpp,cpp} and core/async/ are "
        "the sanctioned core->sim/obs orchestration seam)"},
-      {"QL013",
-       "PhiloxEngine construction outside src/rng/ whose key does not flow "
-       "through derive_seed()/user_stream()/mix64()"},
       {"QL014",
        "snapshot serializers: every field snapshot_write/write_snapshot "
        "emits must be read by its snapshot_read/read_snapshot counterpart "
@@ -58,10 +55,6 @@ const std::vector<RuleInfo>& rules() {
        "hot-path hygiene: no locks, heap allocation, or throw reachable from "
        "step_users/commit_round (suppress per call site with "
        "allow(QL015))"},
-      {"QL016",
-       "telemetry schema catalog: every metric/gauge/histogram name "
-       "registered in src/** and every JSONL key emitted by src/obs/** must "
-       "appear backticked in docs/observability.md"},
   };
   return kRules;
 }

@@ -17,7 +17,7 @@
 //   pass 2  include_graph.hpp  quoted-include graph (QL011 layering)
 //   pass 3  symbols.hpp        function/struct index over src/**
 //   pass 4  callgraph.hpp      conservative name-based call graph
-//   rules   rules.hpp          13 rules, QL001..QL016, over the four passes
+//   rules   rules.hpp          11 rules, QL001..QL015, over the four passes
 // No libclang: the passes are deliberately simple enough to run anywhere the
 // repo builds. See docs/static-analysis.md for the full contract.
 namespace qoslb::lint {
@@ -33,7 +33,7 @@ const std::vector<RuleInfo>& rules();
 
 /// One violation. `file` is relative to the scanned root with '/' separators;
 /// `line` is 1-based (0 for tree-level findings with no anchor line). For
-/// call-graph rules (QL013/QL015), `why` holds the root-to-finding
+/// the call-graph rule (QL015), `why` holds the root-to-finding
 /// call chain, one `file:line function` step per entry; empty otherwise.
 struct Finding {
   std::string rule;

@@ -24,14 +24,14 @@ struct Context {
 /// blanked code view.
 void rules_tokens(const Context& ctx, std::vector<Finding>& out);
 
-/// QL004/QL006/QL016 — cross-file contract checks (CMake reachability,
-/// allowlist staleness, telemetry schema catalog).
+/// QL004/QL006 — cross-file contract checks (CMake reachability,
+/// allowlist staleness).
 void rules_contracts(const Context& ctx, std::vector<Finding>& out);
 
 /// QL011 — include-graph layering over the declared layer map.
 void rules_layering(const Context& ctx, std::vector<Finding>& out);
 
-/// QL013/QL015 — call-graph rules (RNG key discipline, hot-path hygiene).
+/// QL015 — the call-graph rule (hot-path hygiene).
 void rules_callgraph(const Context& ctx, std::vector<Finding>& out);
 
 /// QL014 — snapshot serializer audit (writer vs reader field lists, struct

@@ -1,41 +1,16 @@
 #include <sstream>
 
 #include "tools/lint/lint.hpp"
+#include "util/json.hpp"
 
 // SARIF 2.1.0 emission. Hand-rolled writer: the log is one static shape
 // (single run, one result per finding, rule metadata from rules()), so a
-// string builder with JSON escaping is simpler than threading a DOM through.
-// tests/tools_lint_test.cpp round-trips the output through util/json to keep
-// it well-formed.
+// string builder with util/json's escaper is simpler than threading a DOM
+// through. tests/tools_lint_test.cpp round-trips the output through
+// util/json to keep it well-formed.
 namespace qoslb::lint {
 
-namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using json::escape;
 
 std::string sarif(const std::vector<Finding>& findings) {
   std::ostringstream out;

@@ -256,7 +256,6 @@ SymbolIndex SymbolIndex::build(const Tree& tree) {
       def.file = fi;
       def.begin_line = line_of(text, pos);
       def.end_line = line_of(text, end);
-      def.params = text.substr(open + 1, close - open - 1);
       index.by_name_.emplace(def.name, index.functions_.size());
       index.functions_.push_back(std::move(def));
     }
@@ -301,17 +300,6 @@ std::string SymbolIndex::body(const FunctionDef& fn) const {
   const std::vector<std::string>* lines = scan_lines(fn.file);
   if (lines == nullptr) return {};
   return join_range(*lines, DefRange{fn.begin_line, fn.end_line});
-}
-
-const FunctionDef* SymbolIndex::enclosing_function(std::size_t file,
-                                                   int line) const {
-  const FunctionDef* best = nullptr;
-  for (const FunctionDef& fn : functions_) {
-    if (fn.file != file || line < fn.begin_line || line > fn.end_line)
-      continue;
-    if (best == nullptr || fn.begin_line > best->begin_line) best = &fn;
-  }
-  return best;
 }
 
 const StructDef* SymbolIndex::enclosing_struct(std::size_t file,

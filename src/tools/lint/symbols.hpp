@@ -25,7 +25,6 @@ struct FunctionDef {
   std::size_t file = 0;  // index into Tree::files
   int begin_line = 0;
   int end_line = 0;
-  std::string params;  // parameter list text, parens stripped
 };
 
 /// One data member of a struct/class body, with its snapshot-coverage
@@ -75,10 +74,6 @@ class SymbolIndex {
 
   /// Joined scan-view text of a definition, signature through closing brace.
   std::string body(const FunctionDef& fn) const;
-
-  /// The innermost definition in `file` whose line range contains `line`,
-  /// or nullptr.
-  const FunctionDef* enclosing_function(std::size_t file, int line) const;
 
   /// The struct in `file` whose body contains `line`, or nullptr.
   const StructDef* enclosing_struct(std::size_t file, int line) const;

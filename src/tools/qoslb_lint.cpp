@@ -16,7 +16,7 @@
 //   --sarif PATH  additionally write the findings as a SARIF 2.1.0 log
 //   --graph-dump  print the include graph and call graph instead of findings
 //   --why SPEC    explain one finding (QLxxx:file:line): print its message
-//                 and, for call-graph rules, the root-to-site call chain
+//                 and, for the call-graph rule, the root-to-site call chain
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 

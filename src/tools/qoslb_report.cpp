@@ -2,7 +2,7 @@
 // (docs/observability.md).
 //
 // Ingests any mix of metrics / trace / decision JSONL files, schema-checks
-// every line against the emitter catalogs, and writes a merged report:
+// every line against obs/schema.hpp, and writes a merged report:
 // convergence curves, phase/perf breakdowns, herding findings, and A/B
 // deltas between the first two runs of each shape.
 //

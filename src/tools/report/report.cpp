@@ -4,30 +4,18 @@
 #include <cmath>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string_view>
 
+#include "obs/schema.hpp"
 #include "util/json.hpp"
 
 namespace qoslb::report {
 namespace {
 
 using qoslb::json::Value;
-
-std::string fmt(double value) {
-  std::ostringstream out;
-  out.precision(12);
-  out << value;
-  return out.str();
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
+namespace schema = qoslb::obs::schema;
 
 void issue(Report& report, const std::string& path, std::size_t line,
            std::string message) {
@@ -37,16 +25,17 @@ void issue(Report& report, const std::string& path, std::size_t line,
 /// Exact key-set check: every listed key present, nothing else. Unknown keys
 /// are the load-bearing half — they are how schema drift in an emitter shows
 /// up before any consumer starts silently ignoring data.
-bool check_keys(const Value& obj, const std::vector<std::string>& expected,
+bool check_keys(const Value& obj, std::span<const std::string_view> expected,
                 Report& report, const std::string& path, std::size_t line,
                 const char* what) {
   bool ok = true;
   std::set<std::string> seen;
   for (const auto& [key, value] : obj.members()) seen.insert(key);
-  for (const std::string& key : expected) {
-    if (seen.erase(key) == 0) {
+  for (const std::string_view key : expected) {
+    if (seen.erase(std::string(key)) == 0) {
       issue(report, path, line,
-            std::string(what) + " line missing key \"" + key + '"');
+            std::string(what) + " line missing key \"" + std::string(key) +
+                '"');
       ok = false;
     }
   }
@@ -88,21 +77,20 @@ void metrics_line(const Value& obj, MetricsArtifact& artifact, Report& report,
                   std::size_t line) {
   const std::string type = str(obj, "type");
   if (type == "counter" || type == "gauge") {
-    check_keys(obj, {"metric", "type", "value"}, report, artifact.path, line,
+    check_keys(obj, schema::kMetricValue, report, artifact.path, line,
                "metric");
     artifact.rows.push_back(MetricRow{str(obj, "metric"), type,
                                       num(obj, "value")});
     return;
   }
   if (type == "histogram") {
-    check_keys(obj,
-               {"metric", "type", "total", "underflow", "overflow", "buckets"},
-               report, artifact.path, line, "histogram");
+    check_keys(obj, schema::kHistogram, report, artifact.path, line,
+               "histogram");
     const Value* buckets = obj.find("buckets");
     if (buckets != nullptr && buckets->is_array())
       for (const Value& bucket : buckets->items())
-        check_keys(bucket, {"lo", "hi", "count"}, report, artifact.path, line,
-                   "histogram bucket");
+        check_keys(bucket, schema::kHistogramBucket, report, artifact.path,
+                   line, "histogram bucket");
     artifact.rows.push_back(
         MetricRow{str(obj, "metric"), type, num(obj, "total")});
     return;
@@ -116,10 +104,8 @@ void trace_line(const Value& obj, TraceArtifact& artifact, Report& report,
   if (obj.find("event") != nullptr) {
     const std::string event = str(obj, "event");
     if (event == "begin") {
-      check_keys(obj,
-                 {"event", "protocol", "users", "resources", "seed", "threads",
-                  "mode"},
-                 report, artifact.path, line, "trace begin");
+      check_keys(obj, schema::kTraceBegin, report, artifact.path, line,
+                 "trace begin");
       artifact.protocol = str(obj, "protocol");
       artifact.mode = str(obj, "mode");
       artifact.users = unum(obj, "users");
@@ -127,7 +113,8 @@ void trace_line(const Value& obj, TraceArtifact& artifact, Report& report,
       artifact.seed = unum(obj, "seed");
       artifact.threads = unum(obj, "threads");
     } else if (event == "end") {
-      check_keys(obj, {"event"}, report, artifact.path, line, "trace end");
+      check_keys(obj, schema::kTraceEnd, report, artifact.path, line,
+                 "trace end");
       artifact.saw_end = true;
     } else {
       issue(report, artifact.path, line,
@@ -135,10 +122,8 @@ void trace_line(const Value& obj, TraceArtifact& artifact, Report& report,
     }
     return;
   }
-  check_keys(obj,
-             {"round", "unsatisfied", "migrations", "messages", "max_load",
-              "potential", "active_size"},
-             report, artifact.path, line, "trace row");
+  check_keys(obj, schema::kTraceRow, report, artifact.path, line,
+             "trace row");
   artifact.round_ids.push_back(unum(obj, "round"));
   artifact.unsatisfied.push_back(unum(obj, "unsatisfied"));
   artifact.migrations.push_back(unum(obj, "migrations"));
@@ -150,10 +135,8 @@ void decisions_line(const Value& obj, DecisionsArtifact& artifact,
                     Report& report, std::size_t line) {
   const std::string kind = str(obj, "kind");
   if (kind == "begin") {
-    check_keys(obj,
-               {"kind", "protocol", "users", "resources", "seed", "threads",
-                "mode", "sample_every"},
-               report, artifact.path, line, "decisions begin");
+    check_keys(obj, schema::kDecisionsBegin, report, artifact.path, line,
+               "decisions begin");
     artifact.protocol = str(obj, "protocol");
     artifact.mode = str(obj, "mode");
     artifact.users = unum(obj, "users");
@@ -163,41 +146,32 @@ void decisions_line(const Value& obj, DecisionsArtifact& artifact,
     artifact.sample_every = std::max<std::uint64_t>(1, unum(obj, "sample_every"));
     artifact.block_start_decisions = artifact.decisions;
   } else if (kind == "decision") {
-    check_keys(obj,
-               {"kind", "round", "user", "from", "probe", "target", "to",
-                "threshold", "requested", "granted", "satisfied_before",
-                "satisfied_after"},
-               report, artifact.path, line, "decision");
+    check_keys(obj, schema::kDecision, report, artifact.path, line,
+               "decision");
     ++artifact.decisions;
     if (flag(obj, "requested")) ++artifact.requested;
     if (flag(obj, "granted")) ++artifact.granted;
   } else if (kind == "span") {
-    check_keys(obj, {"kind", "span", "user", "op", "msg", "target", "seq",
-                     "time"},
-               report, artifact.path, line, "span");
+    check_keys(obj, schema::kSpan, report, artifact.path, line, "span");
     ++artifact.spans;
     const std::string op = str(obj, "op");
     if (op == "retry") ++artifact.retries;
     if (op == "timeout") ++artifact.timeouts;
   } else if (kind == "diag") {
-    check_keys(obj,
-               {"kind", "round", "migrations", "inflow_max", "inflow_argmax",
-                "outflow_at_argmax", "herding_ratio", "l_inf", "l2"},
-               report, artifact.path, line, "diag");
+    check_keys(obj, schema::kDiag, report, artifact.path, line, "diag");
     artifact.max_herding_ratio =
         std::max(artifact.max_herding_ratio, num(obj, "herding_ratio"));
     artifact.final_l_inf = num(obj, "l_inf");
     artifact.final_l2 = num(obj, "l2");
   } else if (kind == "finding") {
-    check_keys(obj, {"kind", "detector", "round", "resource", "inflow",
-                     "outflow", "ratio"},
-               report, artifact.path, line, "finding");
+    check_keys(obj, schema::kFinding, report, artifact.path, line,
+               "finding");
     artifact.findings.push_back(HerdingFinding{
         artifact.path, unum(obj, "round"), inum(obj, "resource"),
         unum(obj, "inflow"), unum(obj, "outflow"), num(obj, "ratio")});
   } else if (kind == "end") {
-    check_keys(obj, {"kind", "decisions", "spans", "findings"}, report,
-               artifact.path, line, "decisions end");
+    check_keys(obj, schema::kDecisionsEnd, report, artifact.path, line,
+               "decisions end");
     artifact.saw_end = true;
     if (unum(obj, "decisions") !=
         artifact.decisions - artifact.block_start_decisions)
@@ -398,8 +372,8 @@ std::string render_markdown(const Report& report) {
       out << "- migrations: " << trace.total_migrations()
           << ", messages: " << trace.total_messages() << '\n';
       if (!trace.potential.empty())
-        out << "- potential: " << fmt(trace.potential.front()) << " -> "
-            << fmt(trace.potential.back()) << '\n';
+        out << "- potential: " << json::number(trace.potential.front())
+            << " -> " << json::number(trace.potential.back()) << '\n';
       if (!trace.unsatisfied.empty())
         out << "- unsatisfied curve: `" << sparkline(trace.unsatisfied)
             << "`\n";
@@ -414,8 +388,8 @@ std::string render_markdown(const Report& report) {
       out << "### A/B delta (`" << a.path << "` vs `" << b.path << "`)\n\n";
       out << "| series | A | B | delta |\n|---|---|---|---|\n";
       const auto row = [&out](const char* label, double va, double vb) {
-        out << "| " << label << " | " << fmt(va) << " | " << fmt(vb) << " | "
-            << fmt(vb - va) << " |\n";
+        out << "| " << label << " | " << json::number(va) << " | "
+            << json::number(vb) << " | " << json::number(vb - va) << " |\n";
       };
       row("rounds", static_cast<double>(a.last_round()),
           static_cast<double>(b.last_round()));
@@ -441,7 +415,7 @@ std::string render_markdown(const Report& report) {
           continue;
         if (!any) out << "| metric | value |\n|---|---|\n";
         any = true;
-        out << "| " << row.name << " | " << fmt(row.value) << " |\n";
+        out << "| " << row.name << " | " << json::number(row.value) << " |\n";
       }
       if (!any) out << "(no phase/perf metrics in this artifact)\n";
       out << '\n';
@@ -455,9 +429,9 @@ std::string render_markdown(const Report& report) {
         for (const MetricRow& other : b.rows) {
           if (other.name != row.name || other.type != row.type) continue;
           if (other.value == row.value) break;
-          out << "| " << row.name << " | " << fmt(row.value) << " | "
-              << fmt(other.value) << " | " << fmt(other.value - row.value)
-              << " |\n";
+          out << "| " << row.name << " | " << json::number(row.value) << " | "
+              << json::number(other.value) << " | "
+              << json::number(other.value - row.value) << " |\n";
           break;
         }
       }
@@ -478,9 +452,9 @@ std::string render_markdown(const Report& report) {
       if (artifact.spans > 0)
         out << "- retries " << artifact.retries << ", timeouts "
             << artifact.timeouts << '\n';
-      out << "- max herding ratio " << fmt(artifact.max_herding_ratio)
-          << ", final imbalance l_inf=" << fmt(artifact.final_l_inf)
-          << " l2=" << fmt(artifact.final_l2) << '\n';
+      out << "- max herding ratio " << json::number(artifact.max_herding_ratio)
+          << ", final imbalance l_inf=" << json::number(artifact.final_l_inf)
+          << " l2=" << json::number(artifact.final_l2) << '\n';
       out << '\n';
     }
   }
@@ -493,7 +467,8 @@ std::string render_markdown(const Report& report) {
       for (const HerdingFinding& finding : artifact.findings)
         out << "| `" << finding.path << "` | herding | " << finding.round
             << " | " << finding.resource << " | " << finding.inflow << " | "
-            << finding.outflow << " | " << fmt(finding.ratio) << " |\n";
+            << finding.outflow << " | " << json::number(finding.ratio)
+            << " |\n";
   }
 
   const int code = exit_code(report);
@@ -510,16 +485,17 @@ std::string render_json(const Report& report) {
   for (std::size_t i = 0; i < report.schema_issues.size(); ++i) {
     const SchemaIssue& problem = report.schema_issues[i];
     if (i != 0) out << ',';
-    out << "{\"path\":\"" << escape(problem.path) << "\",\"line\":"
-        << problem.line << ",\"message\":\"" << escape(problem.message)
+    out << "{\"path\":\"" << json::escape(problem.path) << "\",\"line\":"
+        << problem.line << ",\"message\":\"" << json::escape(problem.message)
         << "\"}";
   }
   out << "],\"traces\":[";
   for (std::size_t i = 0; i < report.traces.size(); ++i) {
     const TraceArtifact& trace = report.traces[i];
     if (i != 0) out << ',';
-    out << "{\"path\":\"" << escape(trace.path) << "\",\"protocol\":\""
-        << escape(trace.protocol) << "\",\"rounds\":" << trace.last_round()
+    out << "{\"path\":\"" << json::escape(trace.path) << "\",\"protocol\":\""
+        << json::escape(trace.protocol)
+        << "\",\"rounds\":" << trace.last_round()
         << ",\"rounds_to_satisfied\":" << trace.rounds_to_satisfied()
         << ",\"migrations\":" << trace.total_migrations()
         << ",\"messages\":" << trace.total_messages() << '}';
@@ -528,8 +504,8 @@ std::string render_json(const Report& report) {
   for (std::size_t i = 0; i < report.decisions.size(); ++i) {
     const DecisionsArtifact& artifact = report.decisions[i];
     if (i != 0) out << ',';
-    out << "{\"path\":\"" << escape(artifact.path) << "\",\"protocol\":\""
-        << escape(artifact.protocol)
+    out << "{\"path\":\"" << json::escape(artifact.path) << "\",\"protocol\":\""
+        << json::escape(artifact.protocol)
         << "\",\"sample_every\":" << artifact.sample_every
         << ",\"decisions\":" << artifact.decisions
         << ",\"spans\":" << artifact.spans
@@ -537,7 +513,8 @@ std::string render_json(const Report& report) {
         << ",\"granted\":" << artifact.granted
         << ",\"retries\":" << artifact.retries
         << ",\"timeouts\":" << artifact.timeouts
-        << ",\"max_herding_ratio\":" << fmt(artifact.max_herding_ratio)
+        << ",\"max_herding_ratio\":"
+        << json::number(artifact.max_herding_ratio)
         << ",\"findings\":" << artifact.findings.size() << '}';
   }
   out << "],\"metrics_artifacts\":" << report.metrics.size()

@@ -3,8 +3,8 @@
 // The qoslb-report analysis library (docs/observability.md). Ingests the
 // repo's three telemetry artifact shapes — metrics JSONL (obs/metrics.cpp),
 // per-round trace JSONL (obs/trace_sink.cpp), and decision/span/diag JSONL
-// (obs/decision_sink.cpp) — schema-checks every line against the emitter
-// catalogs, and renders a merged Markdown/JSON report: convergence curves,
+// (obs/decision_sink.cpp) — schema-checks every line against the key
+// arrays of obs/schema.hpp, and renders a merged Markdown/JSON report: convergence curves,
 // phase/perf breakdowns, herding findings, and cross-run A/B deltas.
 //
 // The library is deliberately separate from the qoslb-report CLI so the

@@ -68,9 +68,14 @@ class Parser {
     skip_whitespace();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        Value nested = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"':
         return Value::make_string(parse_string());
       case 't':
@@ -207,6 +212,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays/objects open around pos_
 };
 
 }  // namespace
@@ -289,6 +295,37 @@ Value parse_file(const std::string& path) {
   } catch (const std::invalid_argument& error) {
     throw std::invalid_argument(path + ": " + error.what());
   }
+}
+
+std::string escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 8);
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static const char* kHex = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string number(double value) {
+  std::ostringstream out;
+  out.precision(12);
+  out << value;
+  return out.str();
 }
 
 }  // namespace qoslb::json

@@ -1,16 +1,20 @@
 // obs::TraceSink implementations — the JSONL/CSV schema goldens, the memory
 // and tee sinks, the progress sink's thinned logging, and the
 // engine-produced JSONL stream for an immediately-stable run (begin,
-// round-0 snapshot, end).
+// round-0 snapshot, end). Plus the JsonlDecisionSink byte golden and the
+// escaping both JSONL sinks share.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/potential.hpp"
+#include "obs/decision_sink.hpp"
 #include "qoslb.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace qoslb::obs {
@@ -78,6 +82,79 @@ TEST(JsonlTraceSink, EscapesQuotesAndBackslashes) {
   sink.begin_run(info);
   EXPECT_NE(out.str().find("\"protocol\":\"we\\\"ird\\\\name\""),
             std::string::npos);
+}
+
+// One line of each of the six kinds, byte for byte: non-integral doubles go
+// through the 12-significant-digit format, bools as JSON literals.
+TEST(JsonlDecisionSink, SchemaGolden) {
+  std::ostringstream out;
+  JsonlDecisionSink sink(out);
+  sink.begin_run(sample_info(), 8);
+  DecisionEvent decision;
+  decision.round = 3;
+  decision.user = 7;
+  decision.from = 1;
+  decision.probe = 4;
+  decision.target = 4;
+  decision.to = 1;
+  decision.threshold = 12;
+  decision.requested = true;
+  decision.granted = false;
+  decision.satisfied_before = false;
+  decision.satisfied_after = true;
+  sink.decision(decision);
+  SpanEvent span;
+  span.span = (5u << 20) | 2u;
+  span.user = 5;
+  span.op = "retry";
+  span.msg = "request";
+  span.seq = 2;
+  span.time = 2.75;
+  sink.span(span);
+  DiagRow diag;
+  diag.round = 3;
+  diag.migrations = 9;
+  diag.inflow_max = 6;
+  diag.inflow_argmax = 4;
+  diag.outflow_at_argmax = 1;
+  diag.herding_ratio = 6.0;
+  diag.l_inf = 0.125;
+  diag.l2 = 1.0 / 3.0;
+  sink.diag(diag);
+  sink.finding(DecisionFinding{"herding", 3, 4, 6, 1, 6.5});
+  sink.end_run();
+  EXPECT_EQ(out.str(),
+            "{\"kind\":\"begin\",\"protocol\":\"uniform(lambda=0.5)\","
+            "\"users\":100,\"resources\":10,\"seed\":42,\"threads\":4,"
+            "\"mode\":\"dense\",\"sample_every\":8}\n"
+            "{\"kind\":\"decision\",\"round\":3,\"user\":7,\"from\":1,"
+            "\"probe\":4,\"target\":4,\"to\":1,\"threshold\":12,"
+            "\"requested\":true,\"granted\":false,"
+            "\"satisfied_before\":false,\"satisfied_after\":true}\n"
+            "{\"kind\":\"span\",\"span\":5242882,\"user\":5,\"op\":\"retry\","
+            "\"msg\":\"request\",\"target\":-1,\"seq\":2,\"time\":2.75}\n"
+            "{\"kind\":\"diag\",\"round\":3,\"migrations\":9,"
+            "\"inflow_max\":6,\"inflow_argmax\":4,\"outflow_at_argmax\":1,"
+            "\"herding_ratio\":6,\"l_inf\":0.125,\"l2\":0.333333333333}\n"
+            "{\"kind\":\"finding\",\"detector\":\"herding\",\"round\":3,"
+            "\"resource\":4,\"inflow\":6,\"outflow\":1,\"ratio\":6.5}\n"
+            "{\"kind\":\"end\",\"decisions\":1,\"spans\":1,\"findings\":1}\n");
+}
+
+// A protocol name is free text: control bytes in it must come out escaped,
+// so each header stays one line that the repo's own reader accepts.
+TEST(JsonlSinks, ControlBytesInTheProtocolNameRoundTrip) {
+  TraceRunInfo info = sample_info();
+  info.protocol = "tab\there\nnext line";
+  std::ostringstream trace;
+  JsonlTraceSink(trace).begin_run(info);
+  std::ostringstream decisions;
+  JsonlDecisionSink(decisions).begin_run(info, 1);
+  for (const std::string& text : {trace.str(), decisions.str()}) {
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+    const json::Value line = json::parse(text);
+    EXPECT_EQ(line.find("protocol")->as_string(), info.protocol);
+  }
 }
 
 TEST(CsvTraceSink, HeaderOncePerSinkThenRows) {

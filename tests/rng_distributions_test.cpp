@@ -9,6 +9,7 @@
 
 #include "rng/xoshiro256.hpp"
 #include "rng/philox.hpp"
+#include "rng/round_rng.hpp"
 #include "rng/zipf.hpp"
 #include "stats/ttest.hpp"
 
@@ -252,7 +253,7 @@ TEST(UniformBelow, PassesChiSquareGoodnessOfFit) {
 }
 
 TEST(PhiloxStream, PassesChiSquareGoodnessOfFit) {
-  PhiloxEngine rng(999);
+  PhiloxEngine rng = RoundRng(999, 0).user_stream(0);
   constexpr std::size_t kCells = 32;
   constexpr int kDraws = 64000;
   std::vector<double> observed(kCells, 0.0);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "rng/philox.hpp"
+#include "rng/round_rng.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -99,19 +101,26 @@ TEST(Philox, KeyChangesOutput) {
   EXPECT_NE(Philox4x32::at(1, 0), Philox4x32::at(2, 0));
 }
 
+// Every stream is keyed by (seed, round, user): only RoundRng::user_stream()
+// can build one, so a raw-keyed engine does not compile.
+static_assert(!std::is_constructible_v<PhiloxEngine, std::uint64_t>);
+
 TEST(PhiloxEngine, RandomAccessMatchesSequential) {
-  PhiloxEngine seq(123);
+  const RoundRng streams(123, 0);
+  PhiloxEngine seq = streams.user_stream(0);
   std::vector<std::uint64_t> first(10);
   for (auto& v : first) v = seq();
 
-  PhiloxEngine seek(123);
+  PhiloxEngine seek = streams.user_stream(0);
   seek.seek(5);
   EXPECT_EQ(seek(), first[5]);
   EXPECT_EQ(seek.position(), 6u);
 }
 
 TEST(PhiloxEngine, StreamsDoNotInterfere) {
-  PhiloxEngine a(1), b(2);
+  const RoundRng streams(1, 0);
+  PhiloxEngine a = streams.user_stream(1);
+  PhiloxEngine b = streams.user_stream(2);
   int equal = 0;
   for (int i = 0; i < 64; ++i)
     if (a() == b()) ++equal;

@@ -184,6 +184,17 @@ TEST(Report, MalformedAndUnclassifiableInputIsReported) {
   EXPECT_EQ(missing.schema_issues[0].line, 0u);
 }
 
+// A hostile line must fail the way any malformed line does: one schema
+// issue and exit 2, not a crash of the analyzer.
+TEST(Report, DeeplyNestedLineIsSchemaDriftNotACrash) {
+  Report report;
+  ingest_text("deep.jsonl", std::string(100000, '[') + "\n", report);
+  ASSERT_EQ(report.schema_issues.size(), 1u);
+  EXPECT_NE(report.schema_issues[0].message.find("nesting"), std::string::npos)
+      << report.schema_issues[0].message;
+  EXPECT_EQ(exit_code(report), 2);
+}
+
 TEST(Report, CleanArtifactsGateAtZero) {
   Report report;
   ingest_fixture("metrics_a.jsonl", report);

@@ -6,6 +6,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace qoslb::json {
 namespace {
@@ -59,6 +60,20 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse("1 2"), std::invalid_argument);
   EXPECT_THROW(parse("{\"a\": 1, \"a\": 2}"), std::invalid_argument);
   EXPECT_THROW(parse("--1"), std::invalid_argument);
+}
+
+// Recursive descent bounds its own stack: nesting past kMaxDepth is an
+// ordinary parse error, never a stack overflow.
+TEST(Json, RejectsNestingBeyondTheBound) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(parse(nested(kMaxDepth)).items().size(), 1u);
+  EXPECT_THROW(parse(nested(kMaxDepth + 1)), std::invalid_argument);
+  std::string objects;
+  for (std::size_t i = 0; i <= kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kMaxDepth + 1, '}');
+  EXPECT_THROW(parse(objects), std::invalid_argument);
 }
 
 TEST(Json, ErrorsCarryLineAndColumn) {

@@ -306,7 +306,7 @@ class TelemetryDriver {
 };
 
 /// One step_users() round over an explicit iteration list (all users in
-/// dense mode, the sorted unsatisfied set in active mode), in two halves.
+/// dense mode, the ascending unsatisfied view in active mode), in two halves.
 /// decide() fans a fixed shard partition — it depends only on shard_size
 /// and the list length, never on the worker count — out over the pool
 /// (inline without one), each shard writing only its own buffer and
@@ -479,8 +479,9 @@ EngineResult Engine::run(Protocol& protocol, State& state,
                 "protocol '" + protocol.name() +
                     "' does not support restricted-assignment instances");
   protocol.reset();
-  // O(1) per-round satisfaction reads on every path; the build is O(n log n)
-  // once and idempotent across chained runs on the same state.
+  // O(1) per-round satisfaction reads on every path; the build is one
+  // O(n + m) counting-sort pass, once, and idempotent across chained runs
+  // on the same state.
   state.enable_satisfaction_tracking();
   // step_users() protocols fold one draw of the caller's RNG into the master
   // seed so replications that advance that RNG (the established seeding
@@ -567,10 +568,11 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
   result.threads_used = pool != nullptr ? pool->participants() : 1;
   ShardedRound round(protocol, state, result.counters, config_.shard_size,
                      pool.get());
-  std::vector<UserId> iteration;
+  // Dense mode's iteration list; active mode iterates the unsatisfied view.
+  std::vector<UserId> all_users;
   if (sharded && !active) {
-    iteration.resize(n);
-    std::iota(iteration.begin(), iteration.end(), UserId{0});
+    all_users.resize(n);
+    std::iota(all_users.begin(), all_users.end(), UserId{0});
   }
 
   TelemetryDriver telemetry(config_.telemetry, result, protocol, state,
@@ -630,20 +632,18 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
         apply_churn_event(events[churn_idx], state, master_seed, tracker);
         ++churn_idx;
       }
-      if (active) {
-        // Sorted copy of the unsatisfied view: per-user streams make the
-        // draws order-independent, but the ascending order keeps the
-        // applied migration sequence — and hence the trajectory — exactly
-        // the dense scan's.
-        iteration.assign(state.unsatisfied_view().begin(),
-                         state.unsatisfied_view().end());
-        std::sort(iteration.begin(), iteration.end());
-      }
+      // The unsatisfied view is ascending: per-user streams make the draws
+      // order-independent, but that order keeps the applied migration
+      // sequence — and hence the trajectory — exactly the dense scan's.
+      const std::vector<UserId>& users =
+          active ? state.unsatisfied_view() : all_users;
+      // step() may touch every user, so its round's active size is n.
+      const std::size_t active_size = sharded ? users.size() : n;
       {
         obs::ScopedPhase phase(clock, timers, obs::Phase::kStep);
         ScopedPerf perf_scope(perf, phase_perf, obs::Phase::kStep);
         if (sharded)
-          round.decide(iteration, RoundRng(master_seed, r));
+          round.decide(users, RoundRng(master_seed, r));
         else
           protocol.step(state, *rng, result.counters);
       }
@@ -664,9 +664,7 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
       if (config_.invariant_check_period != 0 &&
           result.rounds % config_.invariant_check_period == 0)
         state.check_invariants();
-      // step() may touch every user, so its round's active size is n.
-      telemetry.round_row(result.rounds, state,
-                          sharded ? iteration.size() : n);
+      telemetry.round_row(result.rounds, state, active_size);
       if (converged()) {
         result.converged = true;
         break;

@@ -101,16 +101,8 @@ bool stable_user(const State& state, const Graph& graph, UserId u) {
 }  // namespace
 
 bool NeighborhoodSampling::is_stable(const State& state) const {
-  if (state.satisfaction_tracking()) {
-    for (const UserId u : state.unsatisfied_view())
-      if (!stable_user(state, *graph_, u)) return false;
-    return true;
-  }
-  for (UserId u = 0; u < state.num_users(); ++u) {
-    if (state.satisfied(u)) continue;
-    if (!stable_user(state, *graph_, u)) return false;
-  }
-  return true;
+  return state.for_each_unsatisfied(
+      [&](UserId u) { return stable_user(state, *graph_, u); });
 }
 
 }  // namespace qoslb

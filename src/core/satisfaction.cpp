@@ -1,6 +1,5 @@
 #include "core/satisfaction.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "util/check.hpp"
@@ -43,11 +42,8 @@ namespace {
 
 /// Identical-capacity fast path: a user has a satisfying deviation iff
 /// min-load-excluding-own + 1 <= its threshold, so only the two smallest
-/// loads (with an argmin) are needed. `unsatisfied` iterates the candidate
-/// users — all of them for an untracked state, just the tracked unsatisfied
-/// view otherwise (every satisfied user is skipped anyway).
-template <typename Unsatisfied>
-bool equilibrium_identical(const State& state, const Unsatisfied& unsatisfied) {
+/// loads (with an argmin) are needed.
+bool equilibrium_identical(const State& state) {
   const Instance& instance = state.instance();
   const auto& loads = state.loads();
   // Only live resources can receive a deviation; with every resource live
@@ -66,36 +62,14 @@ bool equilibrium_identical(const State& state, const Unsatisfied& unsatisfied) {
       min2 = loads[r];
     }
   }
-  for (const UserId u : unsatisfied) {
-    if (state.satisfied(u)) continue;
+  return state.for_each_unsatisfied([&](UserId u) {
     const int candidate = state.resource_of(u) == argmin ? min2 : min1;
     // min2 stays at the sentinel when only one resource is live: the user
     // sitting there has nowhere to deviate to.
-    if (candidate == std::numeric_limits<int>::max()) continue;
+    if (candidate == std::numeric_limits<int>::max()) return true;
     // Thresholds are identical across resources for identical capacities.
-    if (candidate + 1 <= instance.threshold(u, 0)) return false;
-  }
-  return true;
-}
-
-/// Counting iterable over [0, n) so both equilibrium paths share one body.
-struct AllUsers {
-  struct Iterator {
-    UserId u;
-    UserId operator*() const { return u; }
-    Iterator& operator++() { ++u; return *this; }
-    bool operator!=(const Iterator& other) const { return u != other.u; }
-  };
-  std::size_t n;
-  Iterator begin() const { return {0}; }
-  Iterator end() const { return {static_cast<UserId>(n)}; }
-};
-
-template <typename Unsatisfied>
-bool equilibrium_general(const State& state, const Unsatisfied& unsatisfied) {
-  for (const UserId u : unsatisfied)
-    if (!state.satisfied(u) && has_satisfying_deviation(state, u)) return false;
-  return true;
+    return candidate + 1 > instance.threshold(u, 0);
+  });
 }
 
 }  // namespace
@@ -103,31 +77,21 @@ bool equilibrium_general(const State& state, const Unsatisfied& unsatisfied) {
 bool is_satisfaction_equilibrium(const State& state) {
   // The fast path relies on thresholds being identical across resources for
   // each user, which needs identical capacities AND uniform rates.
-  const bool identical = state.instance().identical_capacities() &&
-                         state.instance().uniform_rates() &&
-                         state.num_resources() > 1;
-  // With satisfaction tracking on, only the unsatisfied view needs checking
-  // — the equilibrium condition quantifies over unsatisfied users — which
-  // makes the convergence-tail check O(|unsatisfied|), not O(n).
-  if (state.satisfaction_tracking()) {
-    const auto& unsatisfied = state.unsatisfied_view();
-    return identical ? equilibrium_identical(state, unsatisfied)
-                     : equilibrium_general(state, unsatisfied);
-  }
-  const AllUsers all{state.num_users()};
-  return identical ? equilibrium_identical(state, all)
-                   : equilibrium_general(state, all);
+  if (state.instance().identical_capacities() &&
+      state.instance().uniform_rates() && state.num_resources() > 1)
+    return equilibrium_identical(state);
+  // The equilibrium condition quantifies over unsatisfied users only, so a
+  // tracked state checks O(|unsatisfied|) users, not O(n).
+  return state.for_each_unsatisfied(
+      [&](UserId u) { return !has_satisfying_deviation(state, u); });
 }
 
 std::vector<UserId> unsatisfied_users(const State& state) {
-  if (state.satisfaction_tracking()) {
-    std::vector<UserId> out = state.unsatisfied_view();
-    std::sort(out.begin(), out.end());  // the view's order is unspecified
-    return out;
-  }
   std::vector<UserId> out;
-  for (UserId u = 0; u < state.num_users(); ++u)
-    if (!state.satisfied(u)) out.push_back(u);
+  state.for_each_unsatisfied([&](UserId u) {
+    out.push_back(u);
+    return true;
+  });
   return out;
 }
 

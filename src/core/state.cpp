@@ -123,29 +123,20 @@ void State::move(UserId u, ResourceId r) {
   --loads_[old];
   ++loads_[r];
   assignment_[u] = r;
-  // The cached source threshold is bit-identical to a recompute (it was
-  // produced by the same instance call when u arrived on `old`), so reusing
-  // it halves the threshold work per move.
-  const int threshold_on_old = current_thresholds_[u];
-  const int threshold_on_new = instance_->threshold(u, r);
-  current_thresholds_[u] = threshold_on_new;
+  current_thresholds_[u] = instance_->threshold(u, r);
   if (index_)
-    index_->on_move(u, old, threshold_on_old, r, threshold_on_new,
-                    loads_[old], loads_[r],
+    index_->on_move(u, old, r, current_thresholds_[u], loads_[old], loads_[r],
                     /*delta=*/1);
 }
 
 void State::enable_satisfaction_tracking() {
   if (index_) return;
   index_.emplace();
-  // const pointers select the SoA (non-template) rebuild overload.
-  index_->rebuild(num_users(), num_resources(),
-                  std::as_const(assignment_).data(),
-                  std::as_const(current_thresholds_).data(),
-                  std::as_const(loads_).data());
+  index_->rebuild(num_users(), num_resources(), assignment_.data(),
+                  current_thresholds_.data(), loads_.data());
 }
 
-const std::vector<UserId>& State::unsatisfied_view() const {
+const std::vector<UserId>& State::unsatisfied_view() {
   QOSLB_REQUIRE(index_.has_value(),
                 "unsatisfied_view() needs enable_satisfaction_tracking()");
   return index_->unsatisfied();
@@ -206,17 +197,10 @@ void State::check_invariants() const {
       QOSLB_CHECK(instance_->rate(u, assignment_[u]) > 0.0,
                   "user resident on an unreachable resource");
   if (!index_) return;
-  std::size_t unsatisfied = 0;
-  for (UserId u = 0; u < assignment_.size(); ++u) {
-    const bool tracked = index_->is_unsatisfied(u);
-    QOSLB_CHECK(tracked == !satisfied(u),
-                "satisfaction index diverged from recompute");
-    if (tracked) ++unsatisfied;
-  }
-  QOSLB_CHECK(unsatisfied == index_->unsatisfied().size(),
-              "satisfaction index set size diverged");
-  QOSLB_CHECK(index_->satisfied_count() == assignment_.size() - unsatisfied,
-              "satisfied counter diverged");
+  index_->check_consistency(
+      [this](UserId u) { return assignment_[u]; },
+      [this](UserId u) { return current_thresholds_[u]; },
+      [this](ResourceId r) { return loads_[r]; });
 }
 
 }  // namespace qoslb

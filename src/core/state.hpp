@@ -86,21 +86,41 @@ class State {
   /// True iff user u's requirement is met in the current state.
   bool satisfied(UserId u) const;
 
-  /// Turns on the incremental satisfaction index (idempotent; O(n log n)
-  /// build). Afterwards count_satisfied() is O(1), unsatisfied_view() is
-  /// available, and every move() additionally maintains the index in
-  /// O(log + #satisfaction flips). The engine enables this on every state
-  /// it drives; states used as plain containers can stay untracked.
+  /// Turns on the incremental satisfaction index (idempotent; an O(n + m)
+  /// build with one counting-sort pass, no comparison sort). Afterwards
+  /// count_satisfied() is O(1), the unsatisfied set can be read in
+  /// ascending order, and every move() additionally maintains the index in
+  /// three binary searches (plus one array insert the first time a
+  /// threshold reaches a resource) and O(#satisfaction flips). The engine
+  /// enables this on every state it drives; states used as plain containers
+  /// can stay untracked.
   void enable_satisfaction_tracking();
   bool satisfaction_tracking() const { return index_.has_value(); }
 
-  /// The currently unsatisfied users in unspecified order (valid until the
-  /// next move). Requires satisfaction tracking.
-  const std::vector<UserId>& unsatisfied_view() const;
+  /// The currently unsatisfied users, ascending: one O(|unsatisfied| +
+  /// n/4096) walk of the index's bitmap into a buffer the index owns. The
+  /// reference stays valid, and its contents fixed, until the next call;
+  /// moves do not touch it. Non-const because it refills that buffer;
+  /// const readers use for_each_unsatisfied(). Requires satisfaction
+  /// tracking.
+  const std::vector<UserId>& unsatisfied_view();
+
+  /// Calls `fn(u)` for every unsatisfied user in ascending id order until
+  /// `fn` returns false; returns false iff it stopped early. A walk of the
+  /// index's bitmap, O(|unsatisfied| + n/4096), with satisfaction tracking;
+  /// an O(n) scan without.
+  template <typename Fn>
+  bool for_each_unsatisfied(Fn&& fn) const {
+    if (index_) return index_->for_each_unsatisfied(fn);
+    for (UserId u = 0; u < num_users(); ++u)
+      if (!satisfied(u) && !fn(u)) return false;
+    return true;
+  }
 
   /// Minimum threshold among the residents of `r` that are satisfied at its
-  /// current load, or num_users() + 1 when none is: one lower_bound over the
-  /// index's threshold buckets. Requires satisfaction tracking.
+  /// current load, or num_users() + 1 when none is: one binary search over
+  /// the index's threshold buckets, skipping those emptied since the build.
+  /// Requires satisfaction tracking.
   int satisfied_resident_min(ResourceId r) const;
 
   std::size_t count_satisfied() const;
@@ -110,8 +130,9 @@ class State {
   int min_load() const;
 
   /// Recomputes loads from the assignment and compares; additionally
-  /// cross-checks the satisfaction index against a recompute and verifies
-  /// no user resides on a dead resource. Throws on any mismatch.
+  /// audits the satisfaction index (bucket lists and bitmap, see
+  /// SatisfactionIndex::check_consistency) against the assignment and
+  /// verifies no user resides on a dead resource. Throws on any mismatch.
   void check_invariants() const;
 
  private:

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <utility>
 
 #include "rng/zipf.hpp"
 #include "util/check.hpp"
@@ -26,15 +28,18 @@ WeightedInstance make_weighted_feasible(std::size_t n, std::size_t m,
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return weights[a] > weights[b]; });
-  std::vector<std::uint64_t> packed_load(m, 0);
+  // A min-heap of (load, resource) in O(n log m): ties pop the lowest id,
+  // so each user lands on the first of the lightest resources.
+  using Slot = std::pair<std::uint64_t, std::size_t>;
+  std::vector<Slot> heap(m);
+  for (std::size_t r = 0; r < m; ++r) heap[r] = {0, r};
+  std::uint64_t peak = 0;
   for (const std::size_t u : order) {
-    const auto lightest = static_cast<std::size_t>(
-        std::min_element(packed_load.begin(), packed_load.end()) -
-        packed_load.begin());
-    packed_load[lightest] += weights[u];
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    heap.back().first += weights[u];
+    peak = std::max(peak, heap.back().first);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
   }
-  const std::uint64_t peak =
-      *std::max_element(packed_load.begin(), packed_load.end());
 
   const double threshold =
       std::ceil(static_cast<double>(peak) / (1.0 - slack));

@@ -53,21 +53,21 @@ void WeightedState::move(UserId u, ResourceId r) {
   loads_[r] += w;
   assignment_[u] = r;
   if (index_)
-    index_->on_move(u, old, instance_->threshold(u, old), r,
-                    instance_->threshold(u, r), loads_[old], loads_[r],
-                    /*delta=*/w);
+    index_->on_move(u, old, r, instance_->threshold(u, r), loads_[old],
+                    loads_[r], /*delta=*/w);
 }
 
 void WeightedState::enable_satisfaction_tracking() {
   if (index_) return;
+  std::vector<std::int64_t> thresholds(num_users());
+  for (UserId u = 0; u < thresholds.size(); ++u)
+    thresholds[u] = instance_->threshold(u, assignment_[u]);
   index_.emplace();
-  index_->rebuild(
-      num_users(), num_resources(), [&](UserId u) { return assignment_[u]; },
-      [&](UserId u) { return instance_->threshold(u, assignment_[u]); },
-      [&](ResourceId r) { return loads_[r]; });
+  index_->rebuild(num_users(), num_resources(), assignment_.data(),
+                  thresholds.data(), loads_.data());
 }
 
-const std::vector<UserId>& WeightedState::unsatisfied_view() const {
+const std::vector<UserId>& WeightedState::unsatisfied_view() {
   QOSLB_REQUIRE(index_.has_value(),
                 "unsatisfied_view() needs enable_satisfaction_tracking()");
   return index_->unsatisfied();
@@ -99,17 +99,10 @@ void WeightedState::check_invariants() const {
     expected[assignment_[u]] += instance_->weight(u);
   QOSLB_CHECK(expected == loads_, "cached weight-loads diverged from assignment");
   if (!index_) return;
-  std::size_t unsatisfied = 0;
-  for (UserId u = 0; u < assignment_.size(); ++u) {
-    const bool tracked = index_->is_unsatisfied(u);
-    QOSLB_CHECK(tracked == !satisfied(u),
-                "satisfaction index diverged from recompute");
-    if (tracked) ++unsatisfied;
-  }
-  QOSLB_CHECK(unsatisfied == index_->unsatisfied().size(),
-              "satisfaction index set size diverged");
-  QOSLB_CHECK(index_->satisfied_count() == assignment_.size() - unsatisfied,
-              "satisfied counter diverged");
+  index_->check_consistency(
+      [this](UserId u) { return assignment_[u]; },
+      [this](UserId u) { return instance_->threshold(u, assignment_[u]); },
+      [this](ResourceId r) { return loads_[r]; });
 }
 
 bool weighted_satisfied_after_move(const WeightedState& state, UserId u,
@@ -134,16 +127,8 @@ bool weighted_deviation_free(const WeightedState& state, UserId u) {
 }  // namespace
 
 bool is_weighted_satisfaction_equilibrium(const WeightedState& state) {
-  if (state.satisfaction_tracking()) {
-    for (const UserId u : state.unsatisfied_view())
-      if (!weighted_deviation_free(state, u)) return false;
-    return true;
-  }
-  for (UserId u = 0; u < state.num_users(); ++u) {
-    if (state.satisfied(u)) continue;
-    if (!weighted_deviation_free(state, u)) return false;
-  }
-  return true;
+  return state.for_each_unsatisfied(
+      [&](UserId u) { return weighted_deviation_free(state, u); });
 }
 
 }  // namespace qoslb

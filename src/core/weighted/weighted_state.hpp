@@ -38,8 +38,20 @@ class WeightedState {
   void enable_satisfaction_tracking();
   bool satisfaction_tracking() const { return index_.has_value(); }
 
-  /// Unsatisfied users in unspecified order; requires tracking.
-  const std::vector<UserId>& unsatisfied_view() const;
+  /// Unsatisfied users, ascending (mirrors State::unsatisfied_view: a
+  /// buffer refilled by each call, hence non-const); requires tracking.
+  const std::vector<UserId>& unsatisfied_view();
+
+  /// Visits the unsatisfied users in ascending order until `fn` returns
+  /// false (mirrors State::for_each_unsatisfied: the index's bitmap with
+  /// tracking, an O(n) scan without).
+  template <typename Fn>
+  bool for_each_unsatisfied(Fn&& fn) const {
+    if (index_) return index_->for_each_unsatisfied(fn);
+    for (UserId u = 0; u < num_users(); ++u)
+      if (!satisfied(u) && !fn(u)) return false;
+    return true;
+  }
 
   std::size_t count_satisfied() const;
   std::size_t count_unsatisfied() const { return num_users() - count_satisfied(); }
@@ -47,6 +59,8 @@ class WeightedState {
   /// Total weight of satisfied users (the weighted welfare measure).
   std::uint64_t satisfied_weight() const;
 
+  /// Recomputes the weight-loads and audits the satisfaction index (see
+  /// SatisfactionIndex::check_consistency); throws on any mismatch.
   void check_invariants() const;
 
  private:

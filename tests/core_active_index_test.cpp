@@ -2,18 +2,22 @@
 // after long random move sequences the incrementally maintained unsatisfied
 // set and satisfied counter must equal a from-scratch recompute — on the
 // unit model (core/state) and the weighted model (core/weighted), where one
-// move can flip a whole window of users on both endpoint resources. The
-// admission gate's per-resource resident minima, read from the index's
-// threshold buckets, are checked the same way.
+// move can flip a whole window of users on both endpoint resources. The set
+// must also come out in ascending id order, through the refreshed view and
+// the const visitor alike. The admission gate's per-resource resident
+// minima, read from the index's threshold buckets, are checked the same way.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "core/generators.hpp"
 #include "core/protocols/common.hpp"
+#include "core/satisfaction.hpp"
 #include "core/state.hpp"
 #include "core/weighted/weighted_generators.hpp"
 #include "core/weighted/weighted_state.hpp"
@@ -24,9 +28,9 @@ namespace qoslb {
 namespace {
 
 constexpr std::size_t kMoves = 10000;
-// A full unsatisfied-set comparison is O(n log n); doing it on a stride (plus
-// once at the end) keeps the test fast while the O(1) counter is checked
-// after every single move.
+// A full unsatisfied-set comparison is O(n); doing it on a stride (plus once
+// at the end) keeps the test fast while the O(1) counter is checked after
+// every single move.
 constexpr std::size_t kSetCheckStride = 250;
 
 template <typename StateT>
@@ -46,11 +50,22 @@ std::size_t brute_force_satisfied(const StateT& state) {
 }
 
 template <typename StateT>
-void expect_index_matches_recompute(const StateT& state) {
-  std::vector<UserId> tracked(state.unsatisfied_view().begin(),
-                              state.unsatisfied_view().end());
-  std::sort(tracked.begin(), tracked.end());
-  EXPECT_EQ(tracked, brute_force_unsatisfied(state));
+void expect_index_matches_recompute(StateT& state) {
+  const std::vector<UserId> view = state.unsatisfied_view();
+  EXPECT_TRUE(std::adjacent_find(view.begin(), view.end(),
+                                 std::greater_equal<>{}) == view.end())
+      << "unsatisfied view not strictly ascending";
+  EXPECT_EQ(view, brute_force_unsatisfied(state));
+  std::vector<UserId> visited;
+  const StateT& const_state = state;
+  EXPECT_TRUE(const_state.for_each_unsatisfied([&](UserId u) {
+    visited.push_back(u);
+    return true;
+  }));
+  EXPECT_EQ(visited, view);
+  if constexpr (std::is_same_v<StateT, State>) {
+    EXPECT_EQ(unsatisfied_users(state), view);
+  }
   state.check_invariants();
 }
 
@@ -110,30 +125,85 @@ TEST(SatisfactionIndexProperty, WeightedModelFromCongestedStart) {
   random_walk(state, rng);
 }
 
-TEST(SatisfactionIndexProperty, TrackingEnabledMidSequenceAgrees) {
-  // Enabling the index after untracked moves must rebuild to the same set a
-  // tracked-from-the-start walk reaches: the index is a pure function of the
-  // current assignment.
-  Xoshiro256 rng(21);
-  const Instance instance = make_uniform_feasible(256, 16, 0.3, 1.5, rng);
-  State tracked = State::round_robin(instance);
-  State late = State::round_robin(instance);
+std::vector<ResourceId> assignment_of(const WeightedState& state) {
+  std::vector<ResourceId> assignment(state.num_users());
+  for (UserId u = 0; u < assignment.size(); ++u)
+    assignment[u] = state.resource_of(u);
+  return assignment;
+}
+
+/// Walks `tracked` (indexed from the start) and `late` (untracked) through
+/// the same random moves, then turns tracking on for `late`: the rebuild
+/// must reach the set the incremental updates reached, because the index is
+/// a pure function of the current assignment.
+template <typename StateT>
+void expect_late_rebuild_agrees(StateT& tracked, StateT& late,
+                                std::size_t moves, Xoshiro256& rng) {
   tracked.enable_satisfaction_tracking();
-  for (std::size_t i = 0; i < 2000; ++i) {
-    const auto u = static_cast<UserId>(uniform_u64_below(rng, 256));
-    const auto r = static_cast<ResourceId>(uniform_u64_below(rng, 16));
+  for (std::size_t i = 0; i < moves; ++i) {
+    const auto u =
+        static_cast<UserId>(uniform_u64_below(rng, tracked.num_users()));
+    const auto r = static_cast<ResourceId>(
+        uniform_u64_below(rng, tracked.num_resources()));
     tracked.move(u, r);
     late.move(u, r);
   }
   late.enable_satisfaction_tracking();
-  std::vector<UserId> a(tracked.unsatisfied_view().begin(),
-                        tracked.unsatisfied_view().end());
-  std::vector<UserId> b(late.unsatisfied_view().begin(),
-                        late.unsatisfied_view().end());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(tracked.unsatisfied_view(), late.unsatisfied_view());
   EXPECT_EQ(tracked.count_satisfied(), late.count_satisfied());
+  expect_index_matches_recompute(tracked);
+  expect_index_matches_recompute(late);
+}
+
+TEST(SatisfactionIndexProperty, TrackingEnabledMidSequenceAgrees) {
+  Xoshiro256 rng(21);
+  const Instance instance = make_uniform_feasible(256, 16, 0.3, 1.5, rng);
+  State tracked = State::round_robin(instance);
+  State late = State::round_robin(instance);
+  expect_late_rebuild_agrees(tracked, late, 2000, rng);
+}
+
+TEST(SatisfactionIndexProperty, WeightedTrackingEnabledMidSequenceAgrees) {
+  Xoshiro256 rng(22);
+  const WeightedInstance instance =
+      make_weighted_feasible(256, 16, 0.3, /*weight_classes=*/4,
+                             /*skew=*/0.8, rng);
+  WeightedState tracked = WeightedState::random(instance, rng);
+  WeightedState late(instance, assignment_of(tracked));
+  expect_late_rebuild_agrees(tracked, late, 2000, rng);
+}
+
+TEST(SatisfactionIndexProperty, WeightedThresholdRangeWiderThanOneRadixDigit) {
+  // Thresholds drawn across [1, W] for a total weight W far above n: the
+  // build cannot bucket them in one n-wide counting pass, so it takes the
+  // multi-pass radix path. Its result must match a recompute, and a
+  // rebuild after the same moves.
+  constexpr std::size_t kUsers = 320;
+  constexpr std::size_t kResources = 8;
+  Xoshiro256 rng(23);
+  std::vector<std::uint32_t> weights(kUsers);
+  std::uint64_t total = 0;
+  for (auto& w : weights) {
+    w = std::uint32_t{1} << uniform_u64_below(rng, 5);
+    total += w;
+  }
+  std::vector<double> requirements(kUsers);
+  for (auto& q : requirements)
+    q = 1.0 / static_cast<double>(1 + uniform_u64_below(rng, total));
+  std::vector<double> capacities(kResources, 1.0);
+  capacities[1] = 2.0;
+  const WeightedInstance instance(std::move(capacities),
+                                  std::move(requirements), std::move(weights));
+  WeightedState tracked = WeightedState::random(instance, rng);
+  std::int64_t lo = instance.threshold(0, tracked.resource_of(0));
+  std::int64_t hi = lo;
+  for (UserId u = 0; u < kUsers; ++u) {
+    lo = std::min(lo, instance.threshold(u, tracked.resource_of(u)));
+    hi = std::max(hi, instance.threshold(u, tracked.resource_of(u)));
+  }
+  ASSERT_GT(hi - lo, static_cast<std::int64_t>(2 * kUsers));
+  WeightedState late(instance, assignment_of(tracked));
+  expect_late_rebuild_agrees(tracked, late, 3000, rng);
 }
 
 /// The admission gate's resident minima recomputed from Instance::threshold:
@@ -202,6 +272,33 @@ void check_resident_minima(State& state, Xoshiro256& rng) {
   EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
   for (std::size_t i = 0; i < 500; ++i) random_reachable_move(state, rng);
   EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
+  state.check_invariants();
+}
+
+TEST(ResidentMinProperty, SkipsBucketsEmptiedAboveTheLoad) {
+  // Moving away resource 0's satisfied resident of least threshold, again
+  // and again, empties its lowest buckets at or above the falling load.
+  // Those buckets stay in the index until the next rebuild, so the minimum
+  // lookup must skip them.
+  Xoshiro256 rng(6);
+  const Instance instance = make_zipf_rates(512, 16, 0.1, 1.2, rng);
+  State state = State::round_robin(instance);
+  state.enable_satisfaction_tracking();
+  const int none = static_cast<int>(state.num_users()) + 1;
+  std::size_t moved = 0;
+  for (int min = brute_force_resident_min(state)[0]; min != none;
+       min = brute_force_resident_min(state)[0]) {
+    UserId victim = kNoUser;
+    for (UserId u = 0; u < state.num_users() && victim == kNoUser; ++u)
+      if (state.resource_of(u) == 0 && instance.threshold(u, 0) == min)
+        victim = u;
+    ASSERT_NE(victim, kNoUser);
+    state.move(victim, 1);
+    ++moved;
+    ASSERT_EQ(resident_min_thresholds(state), brute_force_resident_min(state))
+        << "after moving away user " << victim << " of threshold " << min;
+  }
+  EXPECT_GE(moved, 4u);
   state.check_invariants();
 }
 

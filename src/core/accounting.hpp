@@ -29,17 +29,34 @@ struct Counters {
     return 2 * probes + migrate_requests + grants + rejects + migrations;
   }
 
+  /// The counters' one (keyword, member) list, in checkpoint order. Calls
+  /// `f(keyword, c.member...)` once per counter, over any number of Counters
+  /// at once. The checkpoint codec, operator+= and the kill/restore diffs
+  /// all walk it, so a counter listed here is summed, saved, restored and
+  /// compared everywhere (lint rule QL014 flags a member left out).
+  template <class F, class... C>
+  static void for_each_field(F&& f, C&... c) {
+    f("probes", c.probes...);
+    f("migrate_requests", c.migrate_requests...);
+    f("grants", c.grants...);
+    f("rejects", c.rejects...);
+    f("migrations", c.migrations...);
+    f("rounds", c.rounds...);
+    f("events", c.events...);
+    f("timeouts", c.timeouts...);
+    f("retries", c.retries...);
+    f("stale_drops", c.stale_drops...);
+  }
+
   Counters& operator+=(const Counters& other) {
-    probes += other.probes;
-    migrate_requests += other.migrate_requests;
-    grants += other.grants;
-    rejects += other.rejects;
-    migrations += other.migrations;
-    rounds += other.rounds;
-    events += other.events;
-    timeouts += other.timeouts;
-    retries += other.retries;
-    stale_drops += other.stale_drops;
+    // Summed in a local, which the compiler can prove does not alias
+    // `other`, so the engine's per-round shard merge keeps the vectorized
+    // adds of a member-by-member sum; summing through `*this` loses them.
+    Counters sum = *this;
+    for_each_field([](const char*, std::uint64_t& total,
+                      std::uint64_t add) { total += add; },
+                   sum, other);
+    *this = sum;
     return *this;
   }
 };

@@ -58,18 +58,43 @@ struct ChurnStats {
   std::uint64_t max_recovery_rounds = 0;
   /// True when the run ended inside an unrecovered dip.
   bool dip_open = false;
+
+  /// The (keyword, member) list, in checkpoint order; it opens the
+  /// checkpoint's churn block (ChurnTracker::for_each_field). Calls
+  /// `f(keyword, s.member...)` once per metric, over any number of
+  /// ChurnStats at once.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("failures", s.failures...);
+    f("recoveries", s.recoveries...);
+    f("evicted", s.evicted...);
+    f("max_dip_depth", s.max_dip_depth...);
+    f("max_recovery_rounds", s.max_recovery_rounds...);
+    f("dip_open", s.dip_open...);
+  }
 };
 
 /// Incremental tracker behind ChurnStats. All fields are plain data so a
 /// checkpoint can serialize mid-dip progress (core/snapshot.hpp) and a
 /// resumed run reports the same metrics as the uninterrupted one.
 struct ChurnTracker {
-  // Serialized field-by-field under the checkpoint's "churn" block header.
+  // Written field by field at the head of the checkpoint's "churn" block.
   ChurnStats stats;  // qoslb-snapshot: as(churn)
   bool in_dip = false;
   std::uint64_t dip_start_round = 0;
   std::uint64_t baseline_satisfied = 0;
   std::uint64_t min_satisfied = 0;
+
+  /// The checkpoint's churn block: the ChurnStats list, then the tracker's
+  /// own progress fields.
+  template <class F, class... T>
+  static void for_each_field(F&& f, T&... t) {
+    ChurnStats::for_each_field(f, t.stats...);
+    f("in_dip", t.in_dip...);
+    f("dip_start_round", t.dip_start_round...);
+    f("baseline_satisfied", t.baseline_satisfied...);
+    f("min_satisfied", t.min_satisfied...);
+  }
 
   /// A kFail event is being applied at the boundary of `round`;
   /// `satisfied_before` is the satisfied count just before eviction.

@@ -90,8 +90,10 @@ struct EngineConfig {
 
   // --- robustness (docs/faults.md) ---
   /// Scheduled mid-run resource churn, applied at round boundaries. Empty by
-  /// default; step() protocols reject a non-empty plan.
-  ChurnPlan churn;
+  /// default; step() protocols reject a non-empty plan. Never checkpointed:
+  /// resume() replays the plan of the caller's config, and the checkpoint's
+  /// "churn" block is the ChurnTracker's progress, not this plan.
+  ChurnPlan churn;  // qoslb-snapshot: transient
   /// Every this many rounds the round loop runs the full O(n + m)
   /// State::check_invariants() audit (assignment/load/index/liveness
   /// cross-checks). 0 = off (the default; audits are for the chaos harness

@@ -39,6 +39,8 @@ class Instance {
 
   double capacity(ResourceId r) const;
   double requirement(UserId u) const;
+  const std::vector<double>& capacities() const { return capacities_; }
+  const std::vector<double>& requirements() const { return requirements_; }
 
   /// Rate-agnostic quality of resource `r` at occupancy `load` (load ≥ 1):
   /// `s_r / load`, every user's quality under the uniform model.

@@ -167,10 +167,10 @@ class Protocol {
   virtual void reset() {}
 
   /// Serializes cross-round mutable protocol state into a checkpoint
-  /// (core/snapshot.hpp) as `field <count>` keyword lines, mirroring the
-  /// instance_io text idiom. The default writes nothing — correct for every
-  /// protocol whose rounds are memoryless. Overrides must keep write/read
-  /// field lists in lockstep; lint rule QL014 cross-checks the pair.
+  /// (core/snapshot.hpp) as `field <count>` blocks of the shared text codec
+  /// (core/io/text_codec.hpp). The default writes nothing — correct for
+  /// every protocol whose rounds are memoryless. Lint rule QL014 checks that
+  /// the two hooks name every persistent member.
   virtual void snapshot_write(std::ostream& out) const;
 
   /// Restores what snapshot_write() serialized. Must accept its own output

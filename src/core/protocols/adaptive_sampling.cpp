@@ -5,6 +5,7 @@
 #include <ostream>
 #include <string>
 
+#include "core/io/text_codec.hpp"
 #include "core/protocols/common.hpp"
 #include "rng/distributions.hpp"
 #include "util/check.hpp"
@@ -28,25 +29,6 @@ namespace {
 std::uint32_t intent_at(const std::vector<std::uint32_t>& intents,
                         ResourceId r) {
   return r < intents.size() ? intents[r] : 0;
-}
-
-void write_u32_block(std::ostream& out, const char* keyword,
-                     const std::vector<std::uint32_t>& values) {
-  out << keyword << ' ' << values.size() << '\n';
-  for (const std::uint32_t v : values) out << v << '\n';
-}
-
-std::vector<std::uint32_t> read_u32_block(std::istream& in,
-                                          const std::string& keyword) {
-  std::string word;
-  std::size_t count = 0;
-  QOSLB_REQUIRE(static_cast<bool>(in >> word >> count) && word == keyword,
-                "adaptive snapshot: expected a " + keyword + " block");
-  std::vector<std::uint32_t> values(count);
-  for (auto& v : values)
-    QOSLB_REQUIRE(static_cast<bool>(in >> v),
-                  "adaptive snapshot: truncated " + keyword + " block");
-  return values;
 }
 
 }  // namespace
@@ -112,13 +94,19 @@ void AdaptiveSampling::commit_round(State& state,
 }
 
 void AdaptiveSampling::snapshot_write(std::ostream& out) const {
-  write_u32_block(out, "last_intents", last_intents_);
-  write_u32_block(out, "prev_intents", prev_intents_);
+  TextWriter text(out);
+  text.block("last_intents", last_intents_);
+  text.block("prev_intents", prev_intents_);
 }
 
 void AdaptiveSampling::snapshot_read(std::istream& in) {
-  last_intents_ = read_u32_block(in, "last_intents");
-  prev_intents_ = read_u32_block(in, "prev_intents");
+  TextReader text(in, "qoslb adaptive snapshot");
+  const auto intents = [&text] {
+    return static_cast<std::uint32_t>(text.id(
+        "an intent count", std::uint64_t{1} << 32));
+  };
+  last_intents_ = text.block<std::uint32_t>("last_intents", intents);
+  prev_intents_ = text.block<std::uint32_t>("prev_intents", intents);
 }
 
 }  // namespace qoslb

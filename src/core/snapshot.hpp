@@ -56,11 +56,13 @@ struct SnapshotV1 {
 };
 
 /// Serializes `snapshot` as the versioned text format (round-trip exact:
-/// doubles at max_digits10).
+/// doubles at max_digits10). Its model section is an instance file's body,
+/// written by write_model (core/io/instance_io.hpp).
 void write_snapshot(std::ostream& out, const SnapshotV1& snapshot);
 
 /// Parses a checkpoint; throws std::invalid_argument on unknown versions,
-/// truncation, or any malformed field.
+/// truncation, or any malformed field, and sizes nothing from a count line
+/// before its entries arrive.
 SnapshotV1 read_snapshot(std::istream& in);
 
 /// Assembles a checkpoint from live run objects (engine internal; exposed

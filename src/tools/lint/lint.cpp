@@ -46,11 +46,10 @@ const std::vector<RuleInfo>& rules() {
        "below it in the declared map (engine.{hpp,cpp} and core/async/ are "
        "the sanctioned core->sim/obs orchestration seam)"},
       {"QL014",
-       "snapshot serializers: every field snapshot_write/write_snapshot "
-       "emits must be read by its snapshot_read/read_snapshot counterpart "
-       "and vice versa, and every persistent member of a serialized struct "
-       "must be written or annotated '// qoslb-snapshot: transient' / "
-       "'as(name)'"},
+       "snapshot member coverage: every persistent member of a serialized "
+       "struct must map to a keyword of its snapshot_write/snapshot_read "
+       "hooks or of the checkpoint codec's field lists, or be annotated "
+       "'// qoslb-snapshot: transient' / 'as(name)'"},
       {"QL015",
        "hot-path hygiene: no locks, heap allocation, or throw reachable from "
        "step_users/commit_round (suppress per call site with "

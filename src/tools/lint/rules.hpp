@@ -34,8 +34,8 @@ void rules_layering(const Context& ctx, std::vector<Finding>& out);
 /// QL015 — the call-graph rule (hot-path hygiene).
 void rules_callgraph(const Context& ctx, std::vector<Finding>& out);
 
-/// QL014 — snapshot serializer audit (writer vs reader field lists, struct
-/// members vs both).
+/// QL014 — snapshot member coverage (every persistent struct member against
+/// the keywords of its serializer).
 void rules_snapshot(const Context& ctx, std::vector<Finding>& out);
 
 }  // namespace qoslb::lint

@@ -125,30 +125,25 @@ EngineMode parse_mode(const std::string& name) {
                               "' (dense|active)");
 }
 
-/// Field-by-field counter diff; empty result means bit-identical.
-std::vector<std::string> diff_counters(const Counters& a, const Counters& b) {
-  std::vector<std::string> out;
-  const auto check = [&](const char* name, std::uint64_t x, std::uint64_t y) {
-    if (x != y)
-      out.push_back(std::string(name) + " baseline=" + std::to_string(x) +
-                    " resumed=" + std::to_string(y));
-  };
-  check("probes", a.probes, b.probes);
-  check("migrate_requests", a.migrate_requests, b.migrate_requests);
-  check("grants", a.grants, b.grants);
-  check("rejects", a.rejects, b.rejects);
-  check("migrations", a.migrations, b.migrations);
-  check("rounds", a.rounds, b.rounds);
-  check("events", a.events, b.events);
-  check("timeouts", a.timeouts, b.timeouts);
-  check("retries", a.retries, b.retries);
-  check("stale_drops", a.stale_drops, b.stale_drops);
-  return out;
+/// Appends one line per field of T's (keyword, member) list that differs
+/// between the baseline and the resumed value.
+template <class T>
+void diff_fields(const std::string& prefix, const T& base, const T& resumed,
+                 std::vector<std::string>& out) {
+  T::for_each_field(
+      [&](const char* name, const auto& x, const auto& y) {
+        if (x != y)
+          out.push_back(prefix + name + " baseline=" + std::to_string(x) +
+                        " resumed=" + std::to_string(y));
+      },
+      base, resumed);
 }
 
+/// Field-by-field result diff; empty result means bit-identical.
 std::vector<std::string> diff_results(const EngineResult& base,
                                       const EngineResult& resumed) {
-  std::vector<std::string> out = diff_counters(base.counters, resumed.counters);
+  std::vector<std::string> out;
+  diff_fields("", base.counters, resumed.counters, out);
   const auto check_u64 = [&](const char* name, std::uint64_t x,
                              std::uint64_t y) {
     if (x != y)
@@ -158,16 +153,7 @@ std::vector<std::string> diff_results(const EngineResult& base,
   check_u64("result.rounds", base.rounds, resumed.rounds);
   check_u64("final_satisfied", base.final_satisfied, resumed.final_satisfied);
   check_u64("converged", base.converged ? 1 : 0, resumed.converged ? 1 : 0);
-  check_u64("churn.failures", base.churn.failures, resumed.churn.failures);
-  check_u64("churn.recoveries", base.churn.recoveries,
-            resumed.churn.recoveries);
-  check_u64("churn.evicted", base.churn.evicted, resumed.churn.evicted);
-  check_u64("churn.max_recovery_rounds", base.churn.max_recovery_rounds,
-            resumed.churn.max_recovery_rounds);
-  if (base.churn.max_dip_depth != resumed.churn.max_dip_depth)
-    out.push_back("churn.max_dip_depth baseline=" +
-                  std::to_string(base.churn.max_dip_depth) + " resumed=" +
-                  std::to_string(resumed.churn.max_dip_depth));
+  diff_fields("churn.", base.churn, resumed.churn, out);
   return out;
 }
 

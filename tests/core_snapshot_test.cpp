@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/protocols/adaptive_sampling.hpp"
 #include "core/snapshot.hpp"
 #include "net/generators.hpp"
 #include "qoslb.hpp"
@@ -37,14 +38,15 @@ std::vector<ResourceId> assignment_of(const State& state) {
   return assignment;
 }
 
-void expect_counters_eq(const Counters& a, const Counters& b,
-                        const std::string& label) {
-  EXPECT_EQ(a.probes, b.probes) << label;
-  EXPECT_EQ(a.migrate_requests, b.migrate_requests) << label;
-  EXPECT_EQ(a.grants, b.grants) << label;
-  EXPECT_EQ(a.rejects, b.rejects) << label;
-  EXPECT_EQ(a.migrations, b.migrations) << label;
-  EXPECT_EQ(a.rounds, b.rounds) << label;
+/// Compares every field of T's (keyword, member) list: Counters, ChurnStats
+/// or ChurnTracker.
+template <class T>
+void expect_fields_eq(const T& a, const T& b, const std::string& label) {
+  T::for_each_field(
+      [&label](const char* name, const auto& x, const auto& y) {
+        EXPECT_EQ(x, y) << label << ": " << name;
+      },
+      a, b);
 }
 
 struct ShardedCase {
@@ -146,16 +148,8 @@ TEST_P(KillRestore, ResumedRunMatchesUninterruptedEverywhere) {
         EXPECT_EQ(resumed.rounds, baseline.rounds) << label;
         EXPECT_EQ(resumed.converged, baseline.converged) << label;
         EXPECT_EQ(resumed.final_satisfied, baseline.final_satisfied) << label;
-        expect_counters_eq(resumed.counters, baseline.counters, label);
-        EXPECT_EQ(resumed.churn.failures, baseline.churn.failures) << label;
-        EXPECT_EQ(resumed.churn.recoveries, baseline.churn.recoveries)
-            << label;
-        EXPECT_EQ(resumed.churn.evicted, baseline.churn.evicted) << label;
-        EXPECT_EQ(resumed.churn.max_dip_depth, baseline.churn.max_dip_depth)
-            << label;
-        EXPECT_EQ(resumed.churn.max_recovery_rounds,
-                  baseline.churn.max_recovery_rounds)
-            << label;
+        expect_fields_eq(resumed.counters, baseline.counters, label);
+        expect_fields_eq(resumed.churn, baseline.churn, label);
       }
     }
   }
@@ -197,16 +191,8 @@ TEST(Snapshot, SaveSnapshotRoundTripsValueExactly) {
   EXPECT_EQ(restored.requirements, snapshot.requirements);
   EXPECT_EQ(restored.assignment, snapshot.assignment);
   EXPECT_EQ(restored.live, snapshot.live);
-  EXPECT_EQ(restored.counters.probes, snapshot.counters.probes);
-  EXPECT_EQ(restored.counters.migrations, snapshot.counters.migrations);
-  EXPECT_EQ(restored.counters.rounds, snapshot.counters.rounds);
-  EXPECT_EQ(restored.churn.stats.failures, snapshot.churn.stats.failures);
-  EXPECT_EQ(restored.churn.stats.evicted, snapshot.churn.stats.evicted);
-  EXPECT_EQ(restored.churn.stats.max_dip_depth,
-            snapshot.churn.stats.max_dip_depth);
-  EXPECT_EQ(restored.churn.in_dip, snapshot.churn.in_dip);
-  EXPECT_EQ(restored.churn.baseline_satisfied,
-            snapshot.churn.baseline_satisfied);
+  expect_fields_eq(restored.counters, snapshot.counters, "counters");
+  expect_fields_eq(restored.churn, snapshot.churn, "churn");
   EXPECT_EQ(restored.protocol_state, snapshot.protocol_state);
 }
 
@@ -342,6 +328,38 @@ TEST(Snapshot, ReaderRejectsNonBinaryLiveBit) {
   ASSERT_NE(pos, std::string::npos);
   text.replace(text.find('\n', pos) + 1, 1, "7");
   EXPECT_THROW(parse(text), std::invalid_argument);
+}
+
+// A count line is only a claim: the reader must refuse it with
+// std::invalid_argument when the entries are missing, whatever the count,
+// and never size a buffer from it first (2^62 used to throw
+// std::length_error, 2^40 std::bad_alloc).
+TEST(Snapshot, ReaderRejectsHugeCountsAsInvalidArgument) {
+  const std::string head =
+      "qoslb-snapshot v2\nprotocol uniform(0.5)\nnext_round 0\n"
+      "master_seed 1\n";
+  for (const char* count : {"4611686018427387904", "1099511627776",
+                            "18446744073709551615"}) {
+    EXPECT_THROW(parse(head + "resources " + count + "\n1.0\n"),
+                 std::invalid_argument)
+        << count;
+    EXPECT_THROW(parse(head + "resources 1\n1.0\nusers " + count + "\n1.0\n"),
+                 std::invalid_argument)
+        << count;
+  }
+  EXPECT_THROW(parse(head + "resources 18446744073709551616\n1.0\n"),
+               std::invalid_argument);
+}
+
+TEST(Snapshot, AdaptiveStateRejectsHugeCountsAsInvalidArgument) {
+  for (const char* count : {"4611686018427387904", "1099511627776"}) {
+    AdaptiveSampling protocol;
+    std::istringstream in(std::string("last_intents ") + count + "\n3\n");
+    EXPECT_THROW(protocol.snapshot_read(in), std::invalid_argument) << count;
+  }
+  AdaptiveSampling protocol;
+  std::istringstream valid("last_intents 2\n3\n0\nprev_intents 0\n");
+  EXPECT_NO_THROW(protocol.snapshot_read(valid));
 }
 
 TEST(Snapshot, MakeStateRejectsUsersOnDeadResources) {

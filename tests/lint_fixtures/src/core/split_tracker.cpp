@@ -4,6 +4,5 @@
 #include <istream>
 
 void SplitTracker::snapshot_read(std::istream& in) {
-  read_field(in, "sigma", sigma_);
   read_field(in, "tau", tau_);
 }

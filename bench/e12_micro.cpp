@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/generators.hpp"
 #include "core/protocols/adaptive_sampling.hpp"
 #include "core/protocols/admission_control.hpp"
@@ -15,6 +18,7 @@
 #include "opt/satisfaction.hpp"
 #include "rng/distributions.hpp"
 #include "rng/philox.hpp"
+#include "rng/round_rng.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/des.hpp"
 
@@ -32,6 +36,56 @@ void BM_PhiloxAt(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(Philox4x32::at(42, i++));
 }
 BENCHMARK(BM_PhiloxAt);
+
+/// The ids a keying pass over one dense shard sees: 8192 ascending users.
+std::vector<std::uint32_t> ascending_users() {
+  std::vector<std::uint32_t> users(8192);
+  for (std::uint32_t u = 0; u < users.size(); ++u) users[u] = u;
+  return users;
+}
+
+// Per-user keying one user at a time: user_stream(u), then the probe draw
+// and the lambda-coin draw, each one Philox block.
+void BM_UserStreamScalar(benchmark::State& state) {
+  const RoundRng streams(42, 7);
+  const std::vector<std::uint32_t> users = ascending_users();
+  for (auto _ : state) {
+    for (const std::uint32_t u : users) {
+      PhiloxEngine rng = streams.user_stream(u);
+      benchmark::DoNotOptimize(rng());
+      benchmark::DoNotOptimize(rng());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(users.size()));
+}
+BENCHMARK(BM_UserStreamScalar);
+
+// The batch call over the same ids, then the same two draws per engine
+// (the AVX2 kernel's precomputed pair; the scalar kernel's engines compute
+// them as they draw). Arg: the kernel's lanes, 1 (scalar) or 4 (AVX2,
+// skipped where the CPU lacks it).
+void BM_UserStreamsBatch(benchmark::State& state) {
+  const auto kernel = static_cast<RoundRng::Keying>(state.range(0));
+  if (kernel == RoundRng::Keying::kAvx2 &&
+      RoundRng::host_keying() != RoundRng::Keying::kAvx2) {
+    state.SkipWithError("this CPU lacks AVX2");
+    return;
+  }
+  const RoundRng streams(42, 7);
+  const std::vector<std::uint32_t> users = ascending_users();
+  std::vector<PhiloxEngine> engines(users.size(), streams.user_stream(0));
+  for (auto _ : state) {
+    streams.user_streams(users, engines.data(), kernel);
+    for (PhiloxEngine& rng : engines) {
+      benchmark::DoNotOptimize(rng());
+      benchmark::DoNotOptimize(rng());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(users.size()));
+}
+BENCHMARK(BM_UserStreamsBatch)->Arg(1)->Arg(4);
 
 void BM_UniformBelow(benchmark::State& state) {
   Xoshiro256 rng(1);

@@ -43,6 +43,8 @@ void export_metrics(const obs::Telemetry& options, EngineResult& result,
   m.add(m.counter("engine/stale_drops"), c.stale_drops);
   m.add(m.counter("trace/rows"), result.telemetry.trace_rows);
   m.set(m.gauge("engine/threads"), static_cast<double>(result.threads_used));
+  m.set(m.gauge("rng/keying_lanes"),
+        static_cast<double>(RoundRng::host_keying()));
   if (result.events > 0 || result.virtual_time > 0.0) {
     m.add(m.counter("des/events"), result.events);
     m.set(m.gauge("des/virtual_time"), result.virtual_time);

@@ -140,9 +140,12 @@ class Protocol {
 
   /// Decides for `users[0..count)` against `load_snapshot` (the loads at
   /// the round boundary), appending wishes to `out`. Draw randomness for
-  /// user u exclusively from `rng.user_stream(u)`; tally into `counters`
-  /// (the shard's private tally). Const in both the protocol and the
-  /// state: it runs concurrently with other shards of the same round.
+  /// user u only from u's (seed, round, user) stream: the engine that
+  /// for_each_acting_user() (core/protocols/common.hpp) hands the per-user
+  /// body, batch-keyed by `rng.user_streams()` and drawing exactly what
+  /// `rng.user_stream(u)` would. Tally into `counters` (the shard's private
+  /// tally). Const in both the protocol and the state: it runs concurrently
+  /// with other shards of the same round.
   virtual void step_users(const State& state,
                           const std::vector<int>& load_snapshot,
                           const UserId* users, std::size_t count,

@@ -43,9 +43,9 @@ void AdaptiveSampling::step_users(const State& state,
     out.resource_tallies.assign(state.num_resources(), 0);
 
   const ResourceId* assignment = state.assignment().data();
-  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {
+  for_each_acting_user(*this, state, snapshot, users, count, streams,
+                       [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
-    PhiloxEngine rng = streams.user_stream(u);
     ResourceId best = kNoResource;
     double best_quality = 0.0;
     for (int probe = 0; probe < probes_; ++probe) {
@@ -63,7 +63,7 @@ void AdaptiveSampling::step_users(const State& state,
       if (out.decisions != nullptr && out.decisions->sampled(u))
         out.decisions->records.push_back(
             DecisionRecord{u, current, kNoResource, kNoResource, 0, false});
-      continue;
+      return;
     }
     ++out.resource_tallies[best];
     const int slack = instance.threshold(u, best) - snapshot[best];
@@ -77,7 +77,7 @@ void AdaptiveSampling::step_users(const State& state,
       out.decisions->records.push_back(DecisionRecord{
           u, current, best, requested ? best : kNoResource,
           instance.threshold(u, best), false});
-  }
+  });
 }
 
 void AdaptiveSampling::commit_round(State& state,

@@ -22,9 +22,9 @@ void AdmissionControl::step_users(const State& state,
                                   Counters& counters) const {
   const Instance& instance = state.instance();
   const ResourceId* assignment = state.assignment().data();
-  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {
+  for_each_acting_user(*this, state, snapshot, users, count, streams,
+                       [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
-    PhiloxEngine rng = streams.user_stream(u);
     ResourceId best = kNoResource;
     double best_quality = 0.0;
     for (int probe = 0; probe < probes_; ++probe) {
@@ -45,7 +45,7 @@ void AdmissionControl::step_users(const State& state,
       out.decisions->records.push_back(DecisionRecord{
           u, current, best, best,
           best != kNoResource ? instance.threshold(u, best) : 0, false});
-  }
+  });
 }
 
 void AdmissionControl::commit_round(State& state,

@@ -19,10 +19,9 @@ void BerenbrinkBalancing::step_users(const State& state,
   // assignment array directly.
   const ResourceId* assignment = state.assignment().data();
   const int* thresholds = state.current_thresholds().data();
-  for (std::size_t i = 0; i < count; ++i) {
-    const UserId u = users[i];
+  for_each_acting_user(*this, state, snapshot, users, count, streams,
+                       [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
-    PhiloxEngine rng = streams.user_stream(u);
     const ResourceId r = sample_reachable(state, u, rng);
     ++counters.probes;
     // Normalized (capacity-relative) loads handle related resources; for
@@ -46,7 +45,7 @@ void BerenbrinkBalancing::step_users(const State& state,
           u, current, probe, requested ? probe : kNoResource,
           probe != kNoResource ? instance.threshold(u, probe) : 0,
           snapshot[current] <= thresholds[u]});
-  }
+  });
 }
 
 bool BerenbrinkBalancing::is_stable(const State& state) const {

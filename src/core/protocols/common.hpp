@@ -55,6 +55,26 @@ std::span<const UserId> unsatisfied_prefilter(
     const State& state, const std::vector<int>& load_snapshot,
     const UserId* users, std::size_t count);
 
+/// The loop head of every sharded protocol's step_users(): calls
+/// body(u, rng) for each user of users[0..count) that acts this round, in
+/// input order, where rng is u's own (seed, round, user) stream. The acting
+/// users are the unsatisfied_prefilter() survivors for an active-set
+/// protocol, whose satisfied users neither act nor draw, and all of
+/// users[0..count) otherwise. Their streams are keyed RoundRng::kChunk at a
+/// time by RoundRng::user_streams() into a stack buffer, and each draws what
+/// user_stream(u) would, so the keying path cannot move a realization.
+template <typename Body>
+void for_each_acting_user(const Protocol& protocol, const State& state,
+                          const std::vector<int>& load_snapshot,
+                          const UserId* users, std::size_t count,
+                          const RoundRng& streams, Body&& body) {
+  const std::span<const UserId> acting =
+      protocol.active_set_compatible()
+          ? unsatisfied_prefilter(state, load_snapshot, users, count)
+          : std::span<const UserId>(users, count);
+  streams.for_each_stream(acting, body);
+}
+
 /// Merges one round's shard buffers into `out` in shard order — bit-identical
 /// to sequential concatenation, hence independent of which worker ran which
 /// shard. Two passes: size the destination by an exclusive prefix sum of the

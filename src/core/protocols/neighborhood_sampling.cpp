@@ -36,17 +36,17 @@ void NeighborhoodSampling::step_users(const State& state,
   QOSLB_REQUIRE(graph_->num_vertices() == state.num_resources(),
                 "resource graph size mismatch");
   const ResourceId* assignment = state.assignment().data();
-  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {
+  for_each_acting_user(*this, state, snapshot, users, count, streams,
+                       [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
     const auto neighbors = graph_->neighbors(current);
     if (neighbors.empty()) {
       if (out.decisions != nullptr && out.decisions->sampled(u))
         out.decisions->records.push_back(
             DecisionRecord{u, current, kNoResource, kNoResource, 0, false});
-      continue;
+      return;
     }
 
-    PhiloxEngine rng = streams.user_stream(u);
     ResourceId best = kNoResource;
     double best_quality = 0.0;
     for (int probe = 0; probe < probes_; ++probe) {
@@ -75,7 +75,7 @@ void NeighborhoodSampling::step_users(const State& state,
       out.decisions->records.push_back(DecisionRecord{
           u, current, best, requested ? best : kNoResource,
           best != kNoResource ? instance.threshold(u, best) : 0, false});
-  }
+  });
 }
 
 void NeighborhoodSampling::commit_round(State& state,

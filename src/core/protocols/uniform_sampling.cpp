@@ -32,9 +32,9 @@ void UniformSampling::step_users(const State& state,
   // Branchless SoA pass first, probe loop only over the survivors — the
   // per-user draws and append order match the historical inline prefilter
   // bit-for-bit (unsatisfied_prefilter contract).
-  for (const UserId u : unsatisfied_prefilter(state, snapshot, users, count)) {
+  for_each_acting_user(*this, state, snapshot, users, count, streams,
+                       [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
-    PhiloxEngine rng = streams.user_stream(u);
     ResourceId best = kNoResource;
     double best_quality = 0.0;
     for (int probe = 0; probe < probes_; ++probe) {
@@ -56,7 +56,7 @@ void UniformSampling::step_users(const State& state,
       out.decisions->records.push_back(DecisionRecord{
           u, current, best, requested ? best : kNoResource,
           best != kNoResource ? instance.threshold(u, best) : 0, false});
-  }
+  });
 }
 
 }  // namespace qoslb

@@ -3,11 +3,6 @@
 namespace qoslb {
 namespace {
 
-constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
-constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
-constexpr std::uint32_t kWeyl0 = 0x9E3779B9u;
-constexpr std::uint32_t kWeyl1 = 0xBB67AE85u;
-
 inline std::uint32_t mulhi32(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::uint32_t>(
       (static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b)) >> 32);
@@ -21,10 +16,10 @@ inline std::uint32_t mullo32(std::uint32_t a, std::uint32_t b) {
 
 Philox4x32::counter_type Philox4x32::block(counter_type ctr, key_type key) {
   for (int round = 0; round < 10; ++round) {
-    const std::uint32_t hi0 = mulhi32(kPhiloxM0, ctr[0]);
-    const std::uint32_t lo0 = mullo32(kPhiloxM0, ctr[0]);
-    const std::uint32_t hi1 = mulhi32(kPhiloxM1, ctr[2]);
-    const std::uint32_t lo1 = mullo32(kPhiloxM1, ctr[2]);
+    const std::uint32_t hi0 = mulhi32(kM0, ctr[0]);
+    const std::uint32_t lo0 = mullo32(kM0, ctr[0]);
+    const std::uint32_t hi1 = mulhi32(kM1, ctr[2]);
+    const std::uint32_t lo1 = mullo32(kM1, ctr[2]);
     ctr = {hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0};
     key[0] += kWeyl0;
     key[1] += kWeyl1;

@@ -1,18 +1,18 @@
 // Seeded mutation fuzz of every text reader: checkpoints (v1, v2 in each
 // rate-model form), instance files (v1, v2), state files and the adaptive
 // protocol's checkpoint block. Valid texts written by a short real run are
-// mutated by a Philox-keyed mutator (byte flips, dropped and duplicated
-// lines, number tokens swapped for huge or negative values), and every
-// reader must either return a value or throw std::invalid_argument: never
-// another exception type, a crash, or an allocation sized from a count the
-// input merely claims. The seed and iteration count are fixed, so a failure
-// reproduces exactly; the failing input is printed.
+// mutated by the Philox-keyed mutator of text_mutator.hpp (byte flips,
+// dropped and duplicated lines, number tokens swapped for huge or negative
+// values), and every reader must either return a value or throw
+// std::invalid_argument: never another exception type, a crash, or an
+// allocation sized from a count the input merely claims. The seed and
+// iteration count are fixed, so a failure reproduces exactly; the failing
+// input is printed.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,91 +22,14 @@
 #include "core/protocols/adaptive_sampling.hpp"
 #include "core/snapshot.hpp"
 #include "qoslb.hpp"
-#include "rng/distributions.hpp"
 #include "rng/round_rng.hpp"
+#include "text_mutator.hpp"
 
 namespace qoslb {
 namespace {
 
 constexpr std::uint64_t kSeed = 0x7E47F022;
 constexpr std::uint64_t kIterations = 300;
-
-/// Values a number token is swapped for: past every size type, past 64
-/// bits, negative, and non-integral.
-constexpr const char* kHostileNumbers[] = {
-    "4611686018427387904", "1099511627776",  "18446744073709551615",
-    "18446744073709551616", "99999999999999999999", "-1",
-    "-9223372036854775808", "-0",            "1e308",
-    "-1e308",               "0.5",           "nan",
-};
-
-std::vector<std::string> lines_of(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  return lines;
-}
-
-std::string joined(const std::vector<std::string>& lines) {
-  std::string text;
-  for (const std::string& line : lines) text += line + '\n';
-  return text;
-}
-
-/// (offset, length) of every whitespace-delimited token that starts with a
-/// digit.
-std::vector<std::pair<std::size_t, std::size_t>> number_tokens(
-    const std::string& text) {
-  std::vector<std::pair<std::size_t, std::size_t>> tokens;
-  const auto space = [](char c) { return c == ' ' || c == '\n' || c == '\t'; };
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if ((i > 0 && !space(text[i - 1])) || text[i] < '0' || text[i] > '9')
-      continue;
-    std::size_t end = i;
-    while (end < text.size() && !space(text[end])) ++end;
-    tokens.emplace_back(i, end - i);
-    i = end;
-  }
-  return tokens;
-}
-
-std::string mutate(std::string text, PhiloxEngine& rng) {
-  const std::uint64_t ops = 1 + uniform_u64_below(rng, 3);
-  for (std::uint64_t op = 0; op < ops; ++op) {
-    switch (uniform_u64_below(rng, 5)) {
-      case 0: {  // flip one bit of one byte
-        if (text.empty()) break;
-        const std::uint64_t at = uniform_u64_below(rng, text.size());
-        text[at] = static_cast<char>(text[at] ^ (1 << uniform_u64_below(rng, 8)));
-        break;
-      }
-      case 1:
-      case 2: {  // drop or duplicate a line
-        std::vector<std::string> lines = lines_of(text);
-        if (lines.empty()) break;
-        const auto at = static_cast<std::ptrdiff_t>(
-            uniform_u64_below(rng, lines.size()));
-        if (uniform_u64_below(rng, 2) == 0) {
-          lines.erase(lines.begin() + at);
-        } else {
-          lines.insert(lines.begin() + at, lines[static_cast<std::size_t>(at)]);
-        }
-        text = joined(lines);
-        break;
-      }
-      default: {  // swap a number for a hostile one
-        const auto tokens = number_tokens(text);
-        if (tokens.empty()) break;
-        const auto [at, length] = tokens[uniform_u64_below(rng, tokens.size())];
-        constexpr std::size_t kChoices = std::size(kHostileNumbers);
-        text.replace(at, length,
-                     kHostileNumbers[uniform_u64_below(rng, kChoices)]);
-        break;
-      }
-    }
-  }
-  return text;
-}
 
 /// Runs `read` over kIterations mutants of `valid` (stream `stream` of the
 /// fixed seed) and checks the reader contract. The unmutated text must read,

@@ -1,12 +1,24 @@
-// util/json.hpp — the minimal JSON reader behind the bench regression gate.
+// util/json.hpp — the minimal JSON reader behind the bench regression gate,
+// plus a seeded mutation fuzz of parse() over the JSONL lines the telemetry
+// sinks write and over bracket runs far past the nesting bound.
 
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "obs/decision_sink.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace_sink.hpp"
+#include "rng/round_rng.hpp"
+#include "text_mutator.hpp"
 
 namespace qoslb::json {
 namespace {
@@ -115,6 +127,127 @@ TEST(Json, ParseFileRoundTripsAndPrefixesErrors) {
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find(path), std::string::npos);
   }
+}
+
+constexpr std::uint64_t kFuzzSeed = 0x4A534F4E;
+
+/// Parses `text` and records which way it went. Any exception other than
+/// std::invalid_argument fails the test with the input that caused it.
+void parse_or_refuse(const std::string& text, std::uint64_t& accepted,
+                     std::uint64_t& refused) {
+  try {
+    parse(text);
+    ++accepted;
+  } catch (const std::invalid_argument&) {
+    ++refused;
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "parse threw a non-std::invalid_argument error: "
+                  << error.what() << "\n--- input ---\n"
+                  << text.substr(0, 400);
+  }
+}
+
+/// One valid line of each JSONL shape the sinks write (trace begin, row and
+/// end; decision begin, decision and end; metrics counter, gauge and
+/// histogram), and one pretty-printed document whose numbers follow spaces,
+/// where the mutator swaps number tokens.
+std::vector<std::string> artifact_documents() {
+  obs::TraceRunInfo info;
+  info.protocol = "uniform(lambda=0.5)";
+  info.users = 100;
+  info.resources = 10;
+  info.seed = 42;
+  info.threads = 4;
+  info.mode = "dense";
+  std::ostringstream text;
+  obs::JsonlTraceSink trace(text);
+  trace.begin_run(info);
+  obs::TraceRow row;
+  row.round = 3;
+  row.unsatisfied = 17;
+  row.potential = 2.5;
+  trace.row(row);
+  trace.end_run();
+  obs::JsonlDecisionSink decisions(text);
+  decisions.begin_run(info, 8);
+  obs::DecisionEvent decision;
+  decision.round = 3;
+  decision.user = 7;
+  decision.requested = true;
+  decisions.decision(decision);
+  decisions.end_run();
+  obs::MetricsRegistry metrics;
+  metrics.add(metrics.counter("engine/rounds"), 12);
+  metrics.set(metrics.gauge("state/potential"), 1.0 / 3.0);
+  const obs::HistogramHandle sizes =
+      metrics.histogram("engine/active_set_size", 0.0, 100.0, 4);
+  for (const double sample : {-1.0, 3.0, 40.0, 99.0, 250.0})
+    metrics.observe(sizes, sample);
+  metrics.write_jsonl(text);
+  std::vector<std::string> documents = lines_of(text.str());
+  documents.push_back(
+      "{\n  \"rows\": [\n    {\"threads\": 4, \"users_per_sec\": 5.2e7,\n"
+      "     \"speedup\": [1, 1.58, -0.5]},\n    {\"ok\": true, \"note\": null}\n"
+      "  ],\n  \"hardware_threads\": 4\n}\n");
+  return documents;
+}
+
+TEST(JsonFuzz, MutatedArtifactLinesParseOrThrowInvalidArgument) {
+  constexpr std::uint64_t kIterations = 400;
+  const std::vector<std::string> documents = artifact_documents();
+  ASSERT_GE(documents.size(), 10u);
+  std::uint64_t accepted = 0;
+  std::uint64_t refused = 0;
+  for (std::size_t d = 0; d < documents.size(); ++d) {
+    ASSERT_NO_THROW(parse(documents[d])) << documents[d];
+    const RoundRng streams(kFuzzSeed, d);
+    for (std::uint64_t i = 0; i < kIterations; ++i) {
+      PhiloxEngine rng = streams.user_stream(i);
+      SCOPED_TRACE("document " + std::to_string(d) + ", mutant " +
+                   std::to_string(i));
+      parse_or_refuse(mutate(documents[d], rng), accepted, refused);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+// Nesting far past kMaxDepth, well-formed or not, and mutants of it: the
+// depth bound makes each an ordinary value or parse error, never a stack
+// overflow.
+TEST(JsonFuzz, BracketRunsUpTo100000DeepParseOrThrowInvalidArgument) {
+  std::vector<std::string> runs;
+  for (const std::size_t depth :
+       {std::size_t{1}, std::size_t{2}, kMaxDepth - 1, kMaxDepth,
+        kMaxDepth + 1, std::size_t{1000}, std::size_t{100000}}) {
+    std::string mixed_open;
+    std::string mixed_close;
+    for (std::size_t i = 0; i < depth; ++i) {
+      mixed_open += i % 2 == 0 ? "[" : "{\"k\":";
+      mixed_close += i % 2 == 0 ? ']' : '}';
+    }
+    std::reverse(mixed_close.begin(), mixed_close.end());
+    runs.push_back(std::string(depth, '['));
+    runs.push_back(std::string(depth, '[') + std::string(depth, ']'));
+    runs.push_back(std::string(depth, '[') + std::string(depth, '}'));
+    runs.push_back(mixed_open + "0" + mixed_close);
+    runs.push_back(mixed_open);
+  }
+  std::uint64_t accepted = 0;
+  std::uint64_t refused = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    parse_or_refuse(runs[r], accepted, refused);
+    const RoundRng streams(kFuzzSeed + 1, r);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      PhiloxEngine rng = streams.user_stream(i);
+      parse_or_refuse(mutate(runs[r], rng), accepted, refused);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_THROW(parse(std::string(100000, '[') + std::string(100000, ']')),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -28,8 +28,7 @@ struct CommonArgs {
 
 inline CommonArgs read_common(ArgParser& args, std::size_t default_reps = 10) {
   CommonArgs common;
-  common.reps = static_cast<std::size_t>(
-      args.get_int("reps", static_cast<long long>(default_reps)));
+  common.reps = static_cast<std::size_t>(args.get_count("reps", default_reps));
   common.seed = static_cast<std::uint64_t>(args.get_int("seed", 0xC0FFEE));
   common.csv = args.get_flag("csv");
   return common;

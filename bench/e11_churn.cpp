@@ -34,7 +34,8 @@ ChurnedWorld churn(const Instance& old_instance,
   std::vector<ResourceId> assignment = old_assignment;
   for (UserId u = 0; u < n; ++u) requirements[u] = old_instance.requirement(u);
 
-  const auto victims = sample_without_replacement(rng, n, count);
+  std::vector<std::size_t> victims;
+  sample_without_replacement(rng, n, count, victims);
   for (const std::size_t u : victims) {
     const int t = static_cast<int>(uniform_int(rng, t_min, t_max));
     requirements[u] = 1.0 / static_cast<double>(t);

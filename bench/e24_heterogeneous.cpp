@@ -16,11 +16,16 @@
 // doubles as an equivalence gate. The per-model users/sec columns quantify
 // the cost of rate lookups relative to the uniform fast path.
 //
+// Each model's generator call is timed too (build_seconds): the bipartite
+// one builds the CSR access graph that restricted runs start from. Every row
+// records n, m, seed, reps and the round cap it ran with.
+//
 // Knobs: --n, --m (default n/100), --rounds (round cap), --threads=1,2,4,8,
 // plus the common --reps/--seed/--csv. Writes BENCH_hetero.json.
 
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,34 +55,45 @@ std::uint64_t fnv1a_assignment(const State& state) {
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/3);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 200000));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 0));
-  const auto rounds_cap =
-      static_cast<std::uint64_t>(args.get_int("rounds", 40));
+  const auto n = static_cast<std::size_t>(args.get_count("n", 200000));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 0));
+  const std::uint64_t rounds_cap = args.get_count("rounds", 40);
   const auto thread_counts = args.get_int_list("threads", {1, 2, 4, 8});
   args.finish();
+  for (const long long threads : thread_counts)
+    if (threads < 0)
+      throw std::invalid_argument("--threads must be non-negative, got " +
+                                  std::to_string(threads));
   const std::size_t resources = m != 0 ? m : std::max<std::size_t>(8, n / 100);
 
   std::cout << "E24: heterogeneous rate models (n=" << n << ", m=" << resources
             << ", round cap=" << rounds_cap << ", reps=" << common.reps
             << ")\n";
 
-  TablePrinter table({"model", "mode", "threads", "rounds", "seconds_best",
-                      "users_per_sec", "hash", "matches_ref"});
+  TablePrinter table({"model", "build_s", "mode", "threads", "rounds",
+                      "seconds_best", "users_per_sec", "hash", "matches_ref"});
   BenchJson json("e24_heterogeneous");
 
   struct Model {
     std::string name;
     Instance instance;
+    double build_seconds;
   };
   Xoshiro256 gen_rng(common.seed);
   std::vector<Model> models;
-  models.push_back({"uniform",
-                    make_uniform_feasible(n, resources, 0.5, 1.5, gen_rng)});
-  models.push_back({"matrix", make_zipf_rates(n, resources, 0.2, 1.1, gen_rng)});
-  models.push_back(
-      {"bipartite",
-       make_clustered_bipartite(n, resources, 8, 2, 0.2, gen_rng)});
+  const auto build = [&](const char* name, const auto& generate) {
+    obs::Stopwatch watch;
+    Instance instance = generate();
+    models.push_back({name, std::move(instance), watch.seconds()});
+  };
+  build("uniform", [&] {
+    return make_uniform_feasible(n, resources, 0.5, 1.5, gen_rng);
+  });
+  build("matrix",
+        [&] { return make_zipf_rates(n, resources, 0.2, 1.1, gen_rng); });
+  build("bipartite", [&] {
+    return make_clustered_bipartite(n, resources, 8, 2, 0.2, gen_rng);
+  });
 
   bool deterministic = true;
   for (const Model& model : models) {
@@ -135,6 +151,7 @@ int main(int argc, char** argv) {
         const double users_per_sec = static_cast<double>(rounds) *
                                      static_cast<double>(n) / best_seconds;
         table.cell(model.name)
+            .cell(model.build_seconds, 3)
             .cell(mode_name)
             .cell(threads)
             .cell(static_cast<unsigned long long>(rounds))
@@ -145,6 +162,12 @@ int main(int argc, char** argv) {
             .end_row();
         json.add_row()
             .field("model", model.name)
+            .field("n", static_cast<unsigned long long>(n))
+            .field("m", static_cast<unsigned long long>(resources))
+            .field("seed", static_cast<unsigned long long>(common.seed))
+            .field("reps", static_cast<unsigned long long>(common.reps))
+            .field("round_cap", static_cast<unsigned long long>(rounds_cap))
+            .field("build_seconds", model.build_seconds)
             .field("mode", mode_name)
             .field("threads", threads)
             .field("rounds", static_cast<unsigned long long>(rounds))

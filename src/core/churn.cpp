@@ -35,8 +35,9 @@ World replace_users(const World& world, std::size_t count, double q_lo,
   const Instance& instance = world.instance;
   std::vector<double> requirements = requirements_of(instance);
   std::vector<ResourceId> assignment = world.assignment;
-  for (const std::size_t u :
-       sample_without_replacement(rng, instance.num_users(), count)) {
+  std::vector<std::size_t> replaced;
+  sample_without_replacement(rng, instance.num_users(), count, replaced);
+  for (const std::size_t u : replaced) {
     requirements[u] = uniform_real(rng, q_lo, q_hi);
     assignment[u] = static_cast<ResourceId>(
         uniform_u64_below(rng, instance.num_resources()));
@@ -68,9 +69,9 @@ World remove_users(const World& world, std::size_t count, Xoshiro256& rng) {
   const Instance& instance = world.instance;
   QOSLB_REQUIRE(count < instance.num_users(), "cannot remove every user");
   std::vector<bool> removed(instance.num_users(), false);
-  for (const std::size_t u :
-       sample_without_replacement(rng, instance.num_users(), count))
-    removed[u] = true;
+  std::vector<std::size_t> victims;
+  sample_without_replacement(rng, instance.num_users(), count, victims);
+  for (const std::size_t u : victims) removed[u] = true;
   std::vector<double> requirements;
   std::vector<ResourceId> assignment;
   for (UserId u = 0; u < instance.num_users(); ++u) {

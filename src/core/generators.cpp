@@ -170,40 +170,62 @@ Instance make_clustered_bipartite(std::size_t n, std::size_t m,
   QOSLB_REQUIRE(clusters >= 1 && m >= clusters, "need m >= clusters >= 1");
   QOSLB_REQUIRE(slack >= 0.0 && slack < 1.0, "slack in [0,1)");
 
-  // Round-robin partition; the fullest cluster fixes the base threshold so
-  // the within-cluster balanced assignment is feasible for every cluster.
+  // Round-robin partition: cluster c holds the users and resources whose id
+  // is c mod clusters. The fullest cluster fixes the base threshold so the
+  // within-cluster balanced assignment is feasible for every cluster.
   int worst_load = 1;
+  std::size_t num_edges = 0;
+  std::vector<std::vector<ResourceId>> remote(clusters);
   for (std::size_t c = 0; c < clusters; ++c) {
     const std::size_t users_c = n / clusters + (c < n % clusters ? 1 : 0);
     const std::size_t resources_c = m / clusters + (c < m % clusters ? 1 : 0);
     if (users_c >= 1)
       worst_load = std::max(worst_load, balanced_load(users_c, resources_c));
+    num_edges += users_c * (resources_c + std::min(extra, m - resources_c));
+    // c's remote resources, ascending: its users' Floyd draws index this list.
+    remote[c].reserve(m - resources_c);
+    for (std::size_t r = 0; r < m; ++r)
+      if (r % clusters != c) remote[c].push_back(static_cast<ResourceId>(r));
   }
   const int t_base = static_cast<int>(
       std::ceil(static_cast<double>(worst_load) / (1.0 - slack)));
 
-  std::vector<RateEdge> edges;
-  std::vector<ResourceId> remote;
+  // Each user's row goes straight into the CSR arrays in resource order: the
+  // home stride merged with the sorted remote picks.
+  std::vector<std::uint64_t> offsets;
+  offsets.reserve(n + 1);
+  offsets.push_back(0);
+  std::vector<ResourceId> targets;
+  targets.reserve(num_edges);
+  std::vector<double> rates;
+  rates.reserve(num_edges);
+  const auto emit = [&](ResourceId r, double rate) {
+    targets.push_back(r);
+    rates.push_back(rate);
+  };
+  std::vector<std::size_t> picks;
   for (std::size_t u = 0; u < n; ++u) {
     const std::size_t home = u % clusters;
-    remote.clear();
-    for (std::size_t r = 0; r < m; ++r) {
-      if (r % clusters == home)
-        edges.push_back({static_cast<UserId>(u), static_cast<ResourceId>(r), 1.0});
-      else
-        remote.push_back(static_cast<ResourceId>(r));
+    const std::vector<ResourceId>& away = remote[home];
+    sample_without_replacement(rng, away.size(), extra, picks);
+    std::sort(picks.begin(), picks.end());
+    auto pick = picks.begin();
+    for (std::size_t r = home; r < m; r += clusters) {
+      for (; pick != picks.end() && away[*pick] < r; ++pick)
+        emit(away[*pick], 0.5);
+      emit(static_cast<ResourceId>(r), 1.0);
     }
-    const std::size_t picks = std::min(extra, remote.size());
-    for (const std::size_t i :
-         sample_without_replacement(rng, remote.size(), picks))
-      edges.push_back({static_cast<UserId>(u), remote[i], 0.5});
+    for (; pick != picks.end(); ++pick) emit(away[*pick], 0.5);
+    offsets.push_back(targets.size());
   }
 
   std::vector<double> capacities(m, 1.0);
   std::vector<double> requirements =
       thresholds_to_requirements(std::vector<int>(n, t_base));
   return Instance(std::move(capacities), std::move(requirements),
-                  RateModel::bipartite(n, m, std::move(edges)));
+                  RateModel::bipartite_rows(m, std::move(offsets),
+                                            std::move(targets),
+                                            std::move(rates)));
 }
 
 }  // namespace qoslb

@@ -54,39 +54,84 @@ RateModel RateModel::bipartite(std::size_t num_users, std::size_t num_resources,
                                std::vector<RateEdge> edges) {
   QOSLB_REQUIRE(num_users >= 1, "access graph needs at least one user");
   QOSLB_REQUIRE(num_resources >= 1, "access graph needs at least one resource");
-  std::sort(edges.begin(), edges.end(), [](const RateEdge& a, const RateEdge& b) {
-    return a.user != b.user ? a.user < b.user : a.resource < b.resource;
-  });
+  // Counting sort by user. offsets[u + 2] counts user u's edges, so after the
+  // prefix sum offsets[u + 1] is row u's start and serves as its scatter
+  // cursor; once every edge is placed it is row u's end (row u + 1's start).
+  std::vector<std::uint64_t> offsets(num_users + 2, 0);
+  for (const RateEdge& e : edges) {
+    QOSLB_REQUIRE(e.user < num_users, "edge to unknown user");
+    ++offsets[std::size_t{e.user} + 2];
+  }
+  for (std::size_t i = 2; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+  std::vector<ResourceId> targets(edges.size());
+  std::vector<double> rates(edges.size());
+  for (const RateEdge& e : edges) {  // stable: each row keeps input order
+    const std::uint64_t slot = offsets[std::size_t{e.user} + 1]++;
+    targets[slot] = e.resource;
+    rates[slot] = e.rate;
+  }
+  offsets.pop_back();
+
+  // A row that arrived out of resource order is sorted on its own, through
+  // the input buffer, which is no longer needed.
+  for (std::size_t u = 0; u < num_users; ++u) {
+    ResourceId* const row = targets.data() + offsets[u];
+    double* const row_rates = rates.data() + offsets[u];
+    const std::size_t size = offsets[u + 1] - offsets[u];
+    if (std::is_sorted(row, row + size)) continue;
+    for (std::size_t i = 0; i < size; ++i)
+      edges[i] = {static_cast<UserId>(u), row[i], row_rates[i]};
+    std::sort(edges.begin(), edges.begin() + static_cast<std::ptrdiff_t>(size),
+              [](const RateEdge& a, const RateEdge& b) {
+                return a.resource < b.resource;
+              });
+    for (std::size_t i = 0; i < size; ++i) {
+      row[i] = edges[i].resource;
+      row_rates[i] = edges[i].rate;
+    }
+  }
+  return bipartite_rows(num_resources, std::move(offsets), std::move(targets),
+                        std::move(rates));
+}
+
+RateModel RateModel::bipartite_rows(std::size_t num_resources,
+                                    std::vector<std::uint64_t> offsets,
+                                    std::vector<ResourceId> targets,
+                                    std::vector<double> rates) {
+  QOSLB_REQUIRE(offsets.size() >= 2, "access graph needs at least one user");
+  QOSLB_REQUIRE(num_resources >= 1, "access graph needs at least one resource");
+  QOSLB_REQUIRE(offsets.front() == 0 && rates.size() == targets.size(),
+                "rows must start at offset 0 and give every edge a rate");
+  const std::size_t num_users = offsets.size() - 1;
+  // One walk checks every row and edge. Each row is non-empty and ends within
+  // the edges before any of its edges is read.
+  for (std::size_t u = 0; u < num_users; ++u) {
+    const std::uint64_t begin = offsets[u];
+    const std::uint64_t end = offsets[u + 1];
+    QOSLB_REQUIRE(begin < end, "user " + std::to_string(u) +
+                                   " has an empty reachable set (no edges)");
+    QOSLB_REQUIRE(end <= targets.size(), "row offsets past the last edge");
+    for (std::uint64_t i = begin; i < end; ++i) {
+      QOSLB_REQUIRE(targets[i] < num_resources, "edge to unknown resource");
+      QOSLB_REQUIRE(std::isfinite(rates[i]) && rates[i] > 0.0,
+                    "edge rates must be finite and positive");
+      if (i == begin) continue;
+      QOSLB_REQUIRE(targets[i - 1] != targets[i],
+                    "duplicate (user, resource) edge");
+      QOSLB_REQUIRE(targets[i - 1] < targets[i],
+                    "rows must list their resources in ascending order");
+    }
+  }
+  QOSLB_REQUIRE(offsets.back() == targets.size(),
+                "row offsets must end at the last edge");
   RateModel model;
   model.kind_ = RateModelKind::kBipartite;
   model.num_users_ = num_users;
   model.num_resources_ = num_resources;
-  model.offsets_.reserve(num_users + 1);
-  model.targets_.reserve(edges.size());
-  model.edge_rates_.reserve(edges.size());
-  model.offsets_.push_back(0);
-  std::size_t next = 0;
-  for (UserId u = 0; u < num_users; ++u) {
-    const std::size_t row_start = model.targets_.size();
-    while (next < edges.size() && edges[next].user == u) {
-      const RateEdge& e = edges[next];
-      QOSLB_REQUIRE(e.resource < num_resources, "edge to unknown resource");
-      QOSLB_REQUIRE(std::isfinite(e.rate) && e.rate > 0.0,
-                    "edge rates must be finite and positive");
-      QOSLB_REQUIRE(model.targets_.size() == row_start ||
-                        model.targets_.back() != e.resource,
-                    "duplicate (user, resource) edge");
-      model.targets_.push_back(e.resource);
-      model.edge_rates_.push_back(e.rate);
-      ++next;
-    }
-    QOSLB_REQUIRE(model.targets_.size() > row_start,
-                  "user " + std::to_string(u) +
-                      " has an empty reachable set (no edges)");
-    model.offsets_.push_back(model.targets_.size());
-  }
-  QOSLB_REQUIRE(next == edges.size(), "edge to unknown user");
-  model.restricted_ = model.targets_.size() < num_users * num_resources;
+  model.restricted_ = targets.size() < num_users * num_resources;
+  model.offsets_ = std::move(offsets);
+  model.targets_ = std::move(targets);
+  model.edge_rates_ = std::move(rates);
   return model;
 }
 

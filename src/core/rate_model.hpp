@@ -44,9 +44,21 @@ class RateModel {
 
   /// Sparse bipartite access graph. Rates must be finite and > 0 (absent
   /// edges are the zeros), (user, resource) pairs unique, and every user
-  /// needs at least one edge.
+  /// needs at least one edge. Edges may come in any order: a counting sort by
+  /// user builds the rows in O(E + n), and a row whose edges did not arrive
+  /// in ascending resource order is sorted on its own.
   static RateModel bipartite(std::size_t num_users, std::size_t num_resources,
                              std::vector<RateEdge> edges);
+
+  /// The same access graph given as its rows (CSR): user u's edges are
+  /// targets[offsets[u], offsets[u + 1]) with rates alongside, so there are
+  /// offsets.size() - 1 users. Each row must list its resources in strictly
+  /// ascending order; one checking walk then adopts the arrays. A generator
+  /// that emits rows builds the model this way, without an edge list.
+  static RateModel bipartite_rows(std::size_t num_resources,
+                                  std::vector<std::uint64_t> offsets,
+                                  std::vector<ResourceId> targets,
+                                  std::vector<double> rates);
 
   RateModelKind kind() const { return kind_; }
   bool is_uniform() const { return kind_ == RateModelKind::kUniform; }

@@ -14,16 +14,18 @@ State::State(const Instance& instance, std::vector<ResourceId> assignment)
   QOSLB_REQUIRE(assignment_.size() == instance.num_users(),
                 "assignment must place every user");
   loads_.assign(instance.num_resources(), 0);
+  current_thresholds_.resize(assignment_.size());
   for (UserId u = 0; u < assignment_.size(); ++u) {
     const ResourceId r = assignment_[u];
     QOSLB_REQUIRE(r < instance.num_resources(), "assignment to unknown resource");
-    QOSLB_REQUIRE(!instance.restricted() || instance.rate(u, r) > 0.0,
+    const int threshold = instance.threshold(u, r);
+    // Every unreachable pair has threshold 0, so only a 0 needs the lookup.
+    QOSLB_REQUIRE(threshold > 0 || !instance.restricted() ||
+                      instance.rate(u, r) > 0.0,
                   "assignment places a user on an unreachable resource");
+    current_thresholds_[u] = threshold;
     ++loads_[r];
   }
-  current_thresholds_.resize(assignment_.size());
-  for (UserId u = 0; u < assignment_.size(); ++u)
-    current_thresholds_[u] = instance.threshold(u, assignment_[u]);
   live_.assign(instance.num_resources(), 1);
   live_list_.resize(instance.num_resources());
   for (ResourceId r = 0; r < live_list_.size(); ++r) live_list_[r] = r;

@@ -54,11 +54,12 @@ std::size_t discrete(Rng& rng, std::span<const double> weights);
 template <typename Rng, typename T>
 void shuffle(Rng& rng, std::vector<T>& items);
 
-/// Samples k distinct indices from [0, n) (Floyd's algorithm), ascending order
-/// not guaranteed.
+/// Replaces `out` with min(k, n) distinct indices from [0, n) (Floyd's
+/// algorithm), ascending order not guaranteed. A caller that samples
+/// repeatedly reuses one `out` and allocates once.
 template <typename Rng>
-std::vector<std::size_t> sample_without_replacement(Rng& rng, std::size_t n,
-                                                    std::size_t k);
+void sample_without_replacement(Rng& rng, std::size_t n, std::size_t k,
+                                std::vector<std::size_t>& out);
 
 // ---- implementation ----
 
@@ -157,11 +158,11 @@ void shuffle(Rng& rng, std::vector<T>& items) {
 }
 
 template <typename Rng>
-std::vector<std::size_t> sample_without_replacement(Rng& rng, std::size_t n,
-                                                    std::size_t k) {
+void sample_without_replacement(Rng& rng, std::size_t n, std::size_t k,
+                                std::vector<std::size_t>& out) {
   // Floyd's algorithm: k iterations, O(k) extra space.
   if (k > n) k = n;
-  std::vector<std::size_t> out;
+  out.clear();
   out.reserve(k);
   for (std::size_t j = n - k; j < n; ++j) {
     const std::size_t t = uniform_u64_below(rng, j + 1);
@@ -170,7 +171,6 @@ std::vector<std::size_t> sample_without_replacement(Rng& rng, std::size_t n,
       if (v == t) { present = true; break; }
     out.push_back(present ? j : t);
   }
-  return out;
 }
 
 }  // namespace qoslb

@@ -158,24 +158,23 @@ std::vector<std::string> diff_results(const EngineResult& base,
 }
 
 int run_chaos(ArgParser& args) {
-  const auto n = static_cast<std::size_t>(args.get_int("n", 4096));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 32));
+  const auto n = static_cast<std::size_t>(args.get_count("n", 4096));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 32));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const double slack = args.get_double("slack", 0.15);
   const std::vector<ChaosKind> kinds =
       parse_protocols(args.get_string("protocols", "all"));
   const std::string threads_spec = args.get_string("threads", "1,2,4,8");
   const std::string modes_spec = args.get_string("modes", "dense,active");
-  const auto max_rounds =
-      static_cast<std::uint64_t>(args.get_int("rounds", 2000));
+  const auto max_rounds = args.get_count("rounds", 2000);
   const auto shard_size =
-      static_cast<std::size_t>(args.get_int("shard-size", 256));
+      static_cast<std::size_t>(args.get_count("shard-size", 256));
   const std::vector<std::uint64_t> kill_rounds =
       parse_rounds_csv(args.get_string("kill", "1,5,25"), "--kill");
   const std::string fail_spec = args.get_string("fail", "");
   const std::string recover_spec = args.get_string("recover", "");
   const auto check_every =
-      static_cast<std::uint32_t>(args.get_int("check-every", 8));
+      static_cast<std::uint32_t>(args.get_count("check-every", 8));
   const std::string out_dir = args.get_string("out", "chaos-out");
   const std::string rate_model = args.get_string("rate-model", "uniform");
   args.finish();
@@ -204,9 +203,12 @@ int run_chaos(ArgParser& args) {
   plan.validate(m);
 
   std::vector<std::size_t> thread_counts;
-  for (const std::string& item : split(threads_spec, ','))
-    if (!item.empty())
-      thread_counts.push_back(static_cast<std::size_t>(std::stoul(item)));
+  for (const long long threads : parse_int_list(threads_spec)) {
+    if (threads < 0)
+      throw std::invalid_argument("--threads must be non-negative, got " +
+                                  std::to_string(threads));
+    thread_counts.push_back(static_cast<std::size_t>(threads));
+  }
   std::vector<EngineMode> modes;
   std::vector<std::string> mode_names;
   for (const std::string& item : split(modes_spec, ','))

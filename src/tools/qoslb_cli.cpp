@@ -120,8 +120,7 @@ void read_telemetry(ArgParser& args, TelemetryOptions& io) {
   if (io.herding_factor <= 0.0)
     throw std::runtime_error("--herding-factor must be positive");
   const bool progress = args.get_flag("progress");
-  const auto progress_every =
-      static_cast<std::uint64_t>(args.get_int("progress-every", 100));
+  const auto progress_every = args.get_count("progress-every", 100);
   if (!io.trace_path.empty()) {
     io.trace_file.open(io.trace_path);
     if (!io.trace_file)
@@ -225,8 +224,8 @@ RateModelOptions read_rate_model(ArgParser& args) {
   RateModelOptions rates;
   rates.model = args.get_string("rate-model", "uniform");
   rates.exponent = args.get_double("rate-exponent", 1.1);
-  rates.clusters = static_cast<std::size_t>(args.get_int("clusters", 8));
-  rates.extra = static_cast<std::size_t>(args.get_int("extra-edges", 2));
+  rates.clusters = static_cast<std::size_t>(args.get_count("clusters", 8));
+  rates.extra = static_cast<std::size_t>(args.get_count("extra-edges", 2));
   return rates;
 }
 
@@ -296,24 +295,23 @@ State build_start(const std::string& start, const Instance& instance,
 }
 
 int mode_run(ArgParser& args) {
-  const auto n = static_cast<std::size_t>(args.get_int("n", 4096));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 256));
+  const auto n = static_cast<std::size_t>(args.get_count("n", 4096));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 256));
   const double slack = args.get_double("slack", 0.15);
   const std::string family = args.get_string("family", "uniform");
   const std::string kind = args.get_string("protocol", "admission");
   const double lambda = args.get_double("lambda", 0.5);
   const long long probes = args.get_int("probes", 1);
   const std::string start = args.get_string("start", "all0");
-  const auto reps = static_cast<std::size_t>(args.get_int("reps", 10));
+  const auto reps = static_cast<std::size_t>(args.get_count("reps", 10));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto max_rounds = static_cast<std::uint64_t>(
-      args.get_int("max-rounds", 1 << 20));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  const auto max_rounds = args.get_count("max-rounds", 1 << 20);
+  const auto threads = static_cast<std::size_t>(args.get_count("threads", 1));
   const std::string engine_mode = args.get_string("engine-mode", "dense");
   const ChurnPlan churn = parse_churn(args.get_string("fail", ""),
                                       args.get_string("recover", ""));
   const auto check_every =
-      static_cast<std::uint32_t>(args.get_int("check-every", 0));
+      static_cast<std::uint32_t>(args.get_count("check-every", 0));
   const bool csv = args.get_flag("csv");
   const RateModelOptions rates = read_rate_model(args);
   TelemetryOptions telemetry;
@@ -398,8 +396,8 @@ int mode_run(ArgParser& args) {
 int mode_gen(ArgParser& args) {
   // Generates an instance (+ initial state) and writes the io format to
   // --out (default stdout), replayable with --mode=trace --load=FILE.
-  const auto n = static_cast<std::size_t>(args.get_int("n", 1024));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 64));
+  const auto n = static_cast<std::size_t>(args.get_count("n", 1024));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 64));
   const double slack = args.get_double("slack", 0.15);
   const std::string family = args.get_string("family", "uniform");
   const std::string start = args.get_string("start", "all0");
@@ -428,16 +426,15 @@ int mode_gen(ArgParser& args) {
 }
 
 int mode_trace(ArgParser& args) {
-  const auto n = static_cast<std::size_t>(args.get_int("n", 1024));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 64));
+  const auto n = static_cast<std::size_t>(args.get_count("n", 1024));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 64));
   const double slack = args.get_double("slack", 0.15);
   const std::string family = args.get_string("family", "uniform");
   const std::string kind = args.get_string("protocol", "adaptive");
   const double lambda = args.get_double("lambda", 0.5);
   const std::string start = args.get_string("start", "all0");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto max_rounds =
-      static_cast<std::uint64_t>(args.get_int("max-rounds", 100000));
+  const auto max_rounds = args.get_count("max-rounds", 100000);
   const std::string load_path = args.get_string("load", "");
   const RateModelOptions rates = read_rate_model(args);
   TelemetryOptions telemetry;
@@ -480,8 +477,8 @@ int mode_trace(ArgParser& args) {
 }
 
 int mode_async(ArgParser& args) {
-  const auto n = static_cast<std::size_t>(args.get_int("n", 2000));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 100));
+  const auto n = static_cast<std::size_t>(args.get_count("n", 2000));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 100));
   const double slack = args.get_double("slack", 0.25);
   const double jitter = args.get_double("jitter", 0.5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -543,9 +540,9 @@ int mode_async(ArgParser& args) {
 }
 
 int mode_open(ArgParser& args) {
-  const auto m = static_cast<std::size_t>(args.get_int("m", 64));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 64));
   const double rho = args.get_double("rho", 0.8);
-  const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 3000));
+  const auto rounds = args.get_count("rounds", 3000);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   args.finish();
 

@@ -49,6 +49,16 @@ long long ArgParser::get_int(const std::string& name, long long default_value) {
   return value;
 }
 
+std::uint64_t ArgParser::get_count(const std::string& name,
+                                   std::uint64_t default_value) {
+  if (!has(name)) return default_value;
+  const long long value = get_int(name, 0);
+  if (value < 0)
+    throw std::invalid_argument("--" + name + " must be non-negative, got " +
+                                std::to_string(value));
+  return static_cast<std::uint64_t>(value);
+}
+
 double ArgParser::get_double(const std::string& name, double default_value) {
   bool present = false;
   const std::string raw = take(name, &present);

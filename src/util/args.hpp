@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,6 +16,10 @@ class ArgParser {
 
   /// Typed getters consume the option and record it as known.
   long long get_int(const std::string& name, long long default_value);
+  /// A count (users, rounds, threads, ...): get_int that throws
+  /// std::invalid_argument naming the flag when the value is negative, so a
+  /// negative count never wraps into a huge unsigned one.
+  std::uint64_t get_count(const std::string& name, std::uint64_t default_value);
   double get_double(const std::string& name, double default_value);
   std::string get_string(const std::string& name, const std::string& default_value);
   bool get_flag(const std::string& name);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/satisfaction.hpp"
 #include "core/state.hpp"
 #include "opt/satisfaction.hpp"
@@ -126,6 +131,69 @@ TEST(Generators, DeterministicPerSeed) {
   const Instance ib = make_uniform_feasible(30, 3, 0.4, 2.0, b);
   for (UserId u = 0; u < 30; ++u)
     EXPECT_DOUBLE_EQ(ia.requirement(u), ib.requirement(u));
+}
+
+std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xFF;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// make_clustered_bipartite's output and its RNG consumption, pinned. The
+// generator RNG's next output catches a rewrite that adds, drops or reorders
+// a draw even where the edges happen to agree.
+TEST(ClusteredBipartite, EdgesRequirementsAndDrawsArePinned) {
+  struct Pin {
+    std::size_t n, m, clusters, extra, num_edges;
+    std::uint64_t edges_hash, requirements_hash, next_draw;
+  };
+  const Pin pins[] = {
+      // The text-fuzz world.
+      {12, 4, 2, 1, 36u, 12221354386969043671ULL, 8964434353853124837ULL,
+       17497830740709319400ULL},
+      // m % clusters != 0: uneven home clusters.
+      {50, 10, 3, 2, 267u, 15685378362733313545ULL, 11927513984775610821ULL,
+       1491812105809664447ULL},
+      // extra >= the remote count: every remote resource is picked.
+      {20, 6, 3, 5, 120u, 10341685972360071821ULL, 3298447794942200269ULL,
+       9805640043659667797ULL},
+      // One cluster: no remote resources, no draws.
+      {20, 5, 1, 2, 100u, 9362454111073710841ULL, 3298447794942200269ULL,
+       15697391907469195534ULL},
+      // One resource per cluster.
+      {20, 5, 5, 1, 40u, 7969639581764505288ULL, 3298447794942200269ULL,
+       13177740415740467621ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("n=" + std::to_string(pin.n) + " m=" + std::to_string(pin.m) +
+                 " clusters=" + std::to_string(pin.clusters) +
+                 " extra=" + std::to_string(pin.extra));
+    Xoshiro256 rng(pin.n * 1000 + pin.m * 100 + pin.clusters * 10 + pin.extra);
+    const Instance inst = make_clustered_bipartite(pin.n, pin.m, pin.clusters,
+                                                   pin.extra, 0.2, rng);
+    const std::vector<RateEdge> edges = inst.rate_model().edges();
+    std::uint64_t edges_hash = 14695981039346656037ULL;
+    for (const RateEdge& e : edges) {
+      edges_hash = fnv1a(edges_hash, e.user);
+      edges_hash = fnv1a(edges_hash, e.resource);
+      edges_hash = fnv1a(edges_hash, bits_of(e.rate));
+    }
+    std::uint64_t requirements_hash = 14695981039346656037ULL;
+    for (const double q : inst.requirements())
+      requirements_hash = fnv1a(requirements_hash, bits_of(q));
+    EXPECT_EQ(edges.size(), pin.num_edges);
+    EXPECT_EQ(edges_hash, pin.edges_hash);
+    EXPECT_EQ(requirements_hash, pin.requirements_hash);
+    EXPECT_EQ(rng(), pin.next_draw);
+  }
 }
 
 }  // namespace

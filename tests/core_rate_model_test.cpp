@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -31,6 +33,7 @@
 #include "core/weighted/weighted_instance.hpp"
 #include "net/generators.hpp"
 #include "net/graph.hpp"
+#include "rng/distributions.hpp"
 
 using namespace qoslb;
 
@@ -70,6 +73,152 @@ TEST(RateModel, BipartiteRejectsUserWithoutEdges) {
   EXPECT_NE(message.find("user 1 has an empty reachable set"),
             std::string::npos)
       << message;
+}
+
+// Each input carries exactly one fault, and each fault keeps its message.
+TEST(RateModel, BipartiteRejectsEachSingleFaultWithItsMessage) {
+  struct Case {
+    const char* what;
+    std::vector<RateEdge> edges;
+    const char* message;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Case cases[] = {
+      {"user >= n", {{0, 0, 1.0}, {3, 1, 1.0}, {1, 1, 1.0}, {2, 0, 1.0}},
+       "edge to unknown user"},
+      {"resource >= m", {{0, 0, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}},
+       "edge to unknown resource"},
+      {"rate 0", {{0, 0, 1.0}, {1, 1, 0.0}, {2, 0, 1.0}},
+       "edge rates must be finite and positive"},
+      {"rate -1", {{0, 0, 1.0}, {1, 1, -1.0}, {2, 0, 1.0}},
+       "edge rates must be finite and positive"},
+      {"rate NaN", {{0, 0, 1.0}, {1, 1, nan}, {2, 0, 1.0}},
+       "edge rates must be finite and positive"},
+      {"rate +inf", {{0, 0, 1.0}, {1, 1, inf}, {2, 0, 1.0}},
+       "edge rates must be finite and positive"},
+      {"adjacent duplicate", {{0, 0, 1.0}, {1, 1, 1.0}, {1, 1, 0.5}, {2, 0, 1.0}},
+       "duplicate (user, resource) edge"},
+      {"late duplicate",
+       {{1, 0, 1.0}, {0, 1, 1.0}, {2, 0, 1.0}, {2, 1, 1.0}, {1, 0, 0.5}},
+       "duplicate (user, resource) edge"},
+  };
+  for (const Case& c : cases) {
+    const std::string message = thrown_message([&] {
+      RateModel::bipartite(3, 2, c.edges);
+    });
+    const std::string suffix = std::string(" — ") + c.message;
+    EXPECT_TRUE(message.size() >= suffix.size() &&
+                message.compare(message.size() - suffix.size(), suffix.size(),
+                                suffix) == 0)
+        << c.what << ": " << message;
+  }
+}
+
+// Random shapes against a reference CSR built with one std::sort: edges
+// shuffled across users (rows arrive interleaved but each in order) and
+// within users (rows arrive out of order).
+TEST(RateModel, BipartiteMatchesASortedReference) {
+  Xoshiro256 rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + uniform_u64_below(rng, 24);
+    const std::size_t m = 1 + uniform_u64_below(rng, 12);
+    std::vector<RateEdge> edges;
+    for (UserId u = 0; u < n; ++u) {
+      const std::size_t first = uniform_u64_below(rng, m);
+      for (ResourceId r = 0; r < m; ++r)
+        if (r == first || bernoulli(rng, 0.4))
+          edges.push_back({u, r, 0.25 + uniform_real(rng)});
+    }
+    std::vector<RateEdge> reference = edges;
+    std::sort(reference.begin(), reference.end(),
+              [](const RateEdge& a, const RateEdge& b) {
+                return a.user != b.user ? a.user < b.user
+                                        : a.resource < b.resource;
+              });
+    shuffle(rng, edges);
+    if (trial % 2 == 0)  // keep each row in order, interleave the users
+      std::stable_sort(edges.begin(), edges.end(),
+                       [](const RateEdge& a, const RateEdge& b) {
+                         return a.resource < b.resource;
+                       });
+    // The same graph as rows, as a generator emits it.
+    std::vector<std::uint64_t> offsets(n + 1, 0);
+    std::vector<ResourceId> targets;
+    std::vector<double> rates;
+    for (const RateEdge& e : reference) {
+      ++offsets[e.user + 1];
+      targets.push_back(e.resource);
+      rates.push_back(e.rate);
+    }
+    for (std::size_t u = 1; u <= n; ++u) offsets[u] += offsets[u - 1];
+    const RateModel models[] = {
+        RateModel::bipartite(n, m, edges),
+        RateModel::bipartite_rows(m, offsets, targets, rates)};
+
+    for (const RateModel& model : models) {
+      EXPECT_EQ(model.restricted(), reference.size() < n * m);
+      const std::vector<RateEdge> got = model.edges();
+      ASSERT_EQ(got.size(), reference.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].user, reference[i].user);
+        EXPECT_EQ(got[i].resource, reference[i].resource);
+        EXPECT_EQ(got[i].rate, reference[i].rate);
+      }
+      std::size_t next = 0;
+      for (UserId u = 0; u < n; ++u) {
+        std::vector<ResourceId> row;
+        for (ResourceId r = 0; r < m; ++r) {
+          double rate = 0.0;
+          if (next < reference.size() && reference[next].user == u &&
+              reference[next].resource == r) {
+            rate = reference[next++].rate;
+            row.push_back(r);
+          }
+          EXPECT_EQ(model.rate(u, r), rate) << "u=" << u << " r=" << r;
+        }
+        const auto reach = model.reachable(u);
+        EXPECT_EQ(std::vector<ResourceId>(reach.begin(), reach.end()), row);
+      }
+    }
+  }
+}
+
+// Rows are taken as given: out of order, overlapping or malformed rows throw
+// instead of being repaired.
+TEST(RateModel, BipartiteRowsRejectsMalformedRows) {
+  struct Case {
+    const char* what;
+    std::vector<std::uint64_t> offsets;
+    std::vector<ResourceId> targets;
+    std::vector<double> rates;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"descending row", {0, 2, 3}, {1, 0, 1}, {1, 1, 1},
+       "rows must list their resources in ascending order"},
+      {"duplicate", {0, 2, 3}, {1, 1, 0}, {1, 1, 1},
+       "duplicate (user, resource) edge"},
+      {"empty row", {0, 2, 2}, {0, 1}, {1, 1},
+       "user 1 has an empty reachable set (no edges)"},
+      {"resource >= m", {0, 1, 2}, {0, 2}, {1, 1}, "edge to unknown resource"},
+      {"rate 0", {0, 1, 2}, {0, 1}, {1, 0}, "edge rates must be finite and positive"},
+      {"offsets past the edges", {0, 1, 3}, {0, 1}, {1, 1},
+       "row offsets past the last edge"},
+      {"edges past the offsets", {0, 1, 2}, {0, 1, 1}, {1, 1, 1},
+       "row offsets must end at the last edge"},
+      {"first offset not 0", {1, 2, 3}, {0, 0, 1}, {1, 1, 1},
+       "rows must start at offset 0 and give every edge a rate"},
+      {"missing rate", {0, 1, 2}, {0, 1}, {1},
+       "rows must start at offset 0 and give every edge a rate"},
+  };
+  for (const Case& c : cases) {
+    const std::string message = thrown_message([&] {
+      RateModel::bipartite_rows(2, c.offsets, c.targets, c.rates);
+    });
+    EXPECT_NE(message.find(c.message), std::string::npos)
+        << c.what << ": " << message;
+  }
 }
 
 TEST(RateModel, ThresholdScalesWithRateAndZeroMeansUnreachable) {

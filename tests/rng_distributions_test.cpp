@@ -185,8 +185,9 @@ TEST(Shuffle, ActuallyPermutes) {
 
 TEST(SampleWithoutReplacement, DistinctAndInRange) {
   Xoshiro256 rng(41);
+  std::vector<std::size_t> sample;
   for (int trial = 0; trial < 50; ++trial) {
-    const auto sample = sample_without_replacement(rng, 20, 8);
+    sample_without_replacement(rng, 20, 8, sample);
     ASSERT_EQ(sample.size(), 8u);
     std::set<std::size_t> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), 8u);
@@ -196,14 +197,31 @@ TEST(SampleWithoutReplacement, DistinctAndInRange) {
 
 TEST(SampleWithoutReplacement, KEqualsNCoversEverything) {
   Xoshiro256 rng(43);
-  const auto sample = sample_without_replacement(rng, 10, 10);
+  std::vector<std::size_t> sample;
+  sample_without_replacement(rng, 10, 10, sample);
   std::set<std::size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
 }
 
+// The Floyd loop's draws and their order, pinned: churn and the clustered
+// generator realize their worlds through them.
+TEST(SampleWithoutReplacement, DrawsArePinned) {
+  Xoshiro256 rng(53);
+  std::vector<std::size_t> sample;
+  sample_without_replacement(rng, 20, 8, sample);
+  EXPECT_EQ(sample, (std::vector<std::size_t>{5, 10, 2, 6, 16, 4, 12, 0}));
+  sample_without_replacement(rng, 6, 6, sample);
+  EXPECT_EQ(sample, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(rng(), 18196564361467084634ULL);
+}
+
 TEST(SampleWithoutReplacement, KLargerThanNClamped) {
   Xoshiro256 rng(47);
-  EXPECT_EQ(sample_without_replacement(rng, 5, 9).size(), 5u);
+  std::vector<std::size_t> sample = {7, 7, 7};  // replaced, not appended to
+  sample_without_replacement(rng, 5, 9, sample);
+  EXPECT_EQ(sample.size(), 5u);
+  sample_without_replacement(rng, 5, 0, sample);
+  EXPECT_TRUE(sample.empty());
 }
 
 TEST(Zipf, PmfSumsToOne) {

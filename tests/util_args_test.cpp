@@ -71,6 +71,30 @@ TEST(ArgParser, BadIntegerRejected) {
   EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
 }
 
+TEST(ArgParser, CountReturnsValueOrDefault) {
+  auto args = make({"prog", "--n=42", "--zero=0"});
+  EXPECT_EQ(args.get_count("n", 7), 42u);
+  EXPECT_EQ(args.get_count("zero", 7), 0u);
+  EXPECT_EQ(args.get_count("absent", 7), 7u);
+  args.finish();
+}
+
+TEST(ArgParser, NegativeCountNamesTheFlag) {
+  auto args = make({"prog", "--extra-edges=-1", "--n", "-3"});
+  try {
+    args.get_count("extra-edges", 2);
+    ADD_FAILURE() << "a negative count was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--extra-edges must be non-negative, got -1");
+  }
+  EXPECT_THROW(args.get_count("n", 1), std::invalid_argument);
+}
+
+TEST(ArgParser, BadCountRejected) {
+  auto args = make({"prog", "--reps=3x"});
+  EXPECT_THROW(args.get_count("reps", 1), std::invalid_argument);
+}
+
 TEST(ArgParser, NegativeNumbersViaEquals) {
   auto args = make({"prog", "--delta=-3"});
   EXPECT_EQ(args.get_int("delta", 0), -3);

@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -32,6 +34,21 @@ inline CommonArgs read_common(ArgParser& args, std::size_t default_reps = 10) {
   common.seed = static_cast<std::uint64_t>(args.get_int("seed", 0xC0FFEE));
   common.csv = args.get_flag("csv");
   return common;
+}
+
+/// A bench's entry point: runs `body`, and turns a bad flag (a negative
+/// count, a malformed number, an unknown name — ArgParser throws
+/// std::invalid_argument, as does every rejected precondition) into
+/// "<program>: <why>" on stderr and exit status 1 instead of an abort.
+inline int run_bench(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    const std::string_view program(argv[0]);
+    std::cerr << program.substr(program.find_last_of('/') + 1) << ": "
+              << error.what() << '\n';
+    return 1;
+  }
 }
 
 inline void emit(const TablePrinter& table, const CommonArgs& common) {

@@ -15,10 +15,10 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/3);
-  const auto sizes = args.get_int_list("sizes", {1024, 4096, 16384, 65536});
+  const auto sizes = args.get_count_list("sizes", {1024, 4096, 16384, 65536});
   args.finish();
 
   TablePrinter table({"engine", "n", "work_units", "seconds", "units_per_sec"});
@@ -110,3 +110,5 @@ int main(int argc, char** argv) {
   json.write("BENCH_engine.json");
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -51,12 +51,12 @@ ChurnedWorld churn(const Instance& old_instance,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/5);
-  const long long n = args.get_int("n", 4096);
-  const long long m = args.get_int("m", 256);
-  const long long waves = args.get_int("waves", 6);
+  const long long n = static_cast<long long>(args.get_count("n", 4096));
+  const long long m = static_cast<long long>(args.get_count("m", 256));
+  const long long waves = static_cast<long long>(args.get_count("waves", 6));
   const double slack = args.get_double("slack", 0.15);
   args.finish();
 
@@ -124,3 +124,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

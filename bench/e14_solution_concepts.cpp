@@ -30,11 +30,11 @@ double min_quality(const State& state) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/10);
-  const long long n = args.get_int("n", 1024);
-  const long long m = args.get_int("m", 64);
+  const long long n = static_cast<long long>(args.get_count("n", 1024));
+  const long long m = static_cast<long long>(args.get_count("m", 64));
   const double slack = args.get_double("slack", 0.3);
   args.finish();
 
@@ -101,3 +101,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

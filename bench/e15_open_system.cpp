@@ -16,11 +16,12 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/5);
-  const long long m = args.get_int("m", 64);
-  const long long rounds = args.get_int("rounds", 3000);
+  const long long m = static_cast<long long>(args.get_count("m", 64));
+  const long long rounds =
+      static_cast<long long>(args.get_count("rounds", 3000));
   args.finish();
 
   // Thresholds ~ [20, 25] => per-resource capacity ~22.5 users; saturation
@@ -73,3 +74,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -15,11 +15,12 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/10);
-  const auto sizes = args.get_int_list("sizes", {256, 512, 1024, 2048, 4096, 8192});
-  const auto load_factor = args.get_int("load-factor", 16);
+  const auto sizes = args.get_count_list("sizes", {256, 512, 1024, 2048, 4096, 8192});
+  const auto load_factor =
+      static_cast<long long>(args.get_count("load-factor", 16));
   const double slack = args.get_double("slack", 0.15);
   args.finish();
 
@@ -65,3 +66,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

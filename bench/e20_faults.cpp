@@ -33,18 +33,16 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/10);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 800));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 40));
+  const auto n = static_cast<std::size_t>(args.get_count("n", 800));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 40));
   const double slack = args.get_double("slack", 0.4);
   const double dup = args.get_double("dup", 0.05);
   const double crash_len = args.get_double("crash-len", 100.0);
-  const auto fail_round =
-      static_cast<std::uint64_t>(args.get_int("fail-round", 20));
-  const auto recover_round =
-      static_cast<std::uint64_t>(args.get_int("recover-round", 60));
+  const std::uint64_t fail_round = args.get_count("fail-round", 20);
+  const std::uint64_t recover_round = args.get_count("recover-round", 60);
   args.finish();
 
   const std::vector<double> drop_rates = {0.0, 0.05, 0.10, 0.20};
@@ -181,3 +179,5 @@ int main(int argc, char** argv) {
   json.write("BENCH_faults.json");
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -49,14 +49,13 @@ std::uint64_t fnv1a_assignment(const State& state) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/3);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 1000000));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 0));
-  const auto rounds_cap =
-      static_cast<std::uint64_t>(args.get_int("rounds", 40));
-  const auto thread_counts = args.get_int_list("threads", {1, 2, 4, 8});
+  const auto n = static_cast<std::size_t>(args.get_count("n", 1000000));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 0));
+  const std::uint64_t rounds_cap = args.get_count("rounds", 40);
+  const auto thread_counts = args.get_count_list("threads", {1, 2, 4, 8});
   args.finish();
   const std::size_t resources = m != 0 ? m : std::max<std::size_t>(1, n / 100);
 
@@ -178,3 +177,5 @@ int main(int argc, char** argv) {
   json.write("BENCH_parallel.json");
   return deterministic && scaling_ok ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

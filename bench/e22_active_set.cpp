@@ -72,16 +72,15 @@ struct ModeResult {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/3);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 1000000));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 1000));
+  const auto n = static_cast<std::size_t>(args.get_count("n", 1000000));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 1000));
   const std::string kind = args.get_string("protocol", "uniform");
   const double lambda = args.get_double("lambda", 0.05);
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  const auto rounds_cap =
-      static_cast<std::uint64_t>(args.get_int("rounds", 4096));
+  const auto threads = static_cast<std::size_t>(args.get_count("threads", 1));
+  const std::uint64_t rounds_cap = args.get_count("rounds", 4096);
   const double tail_frac = args.get_double("tail-frac", 0.005);
   // The defaults pin the regime the tentpole is about: light damping and a
   // small slack give a long straggler phase whose active set is far below
@@ -92,8 +91,7 @@ int main(int argc, char** argv) {
   const std::string trace_path = args.get_string("trace-out", "");
   const std::string metrics_path = args.get_string("metrics-out", "");
   const std::string decisions_path = args.get_string("decisions-out", "");
-  const auto trace_sample =
-      static_cast<std::uint64_t>(args.get_int("trace-sample", 1024));
+  const std::uint64_t trace_sample = args.get_count("trace-sample", 1024);
   args.finish();
 
   // Optional telemetry on the timed tail runs. Sinks are shared across reps
@@ -294,3 +292,5 @@ int main(int argc, char** argv) {
   }
   return identical && !empty_tail ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -70,14 +70,13 @@ std::uint64_t fnv1a_assignment(const State& state) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/3);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 1000000));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 0));
-  const auto rounds_cap =
-      static_cast<std::uint64_t>(args.get_int("rounds", 20));
-  const auto thread_counts = args.get_int_list("threads", {1, 2, 4, 8});
+  const auto n = static_cast<std::size_t>(args.get_count("n", 1000000));
+  const auto m = static_cast<std::size_t>(args.get_count("m", 0));
+  const std::uint64_t rounds_cap = args.get_count("rounds", 20);
+  const auto thread_counts = args.get_count_list("threads", {1, 2, 4, 8});
   const std::string metrics_path = args.get_string("metrics-out", "");
   args.finish();
   obs::MetricsRegistry metrics;
@@ -281,3 +280,5 @@ int main(int argc, char** argv) {
   }
   return deterministic ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -52,13 +52,13 @@ std::uint64_t fnv1a_assignment(const State& state) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/3);
   const auto n = static_cast<std::size_t>(args.get_count("n", 200000));
   const auto m = static_cast<std::size_t>(args.get_count("m", 0));
   const std::uint64_t rounds_cap = args.get_count("rounds", 40);
-  const auto thread_counts = args.get_int_list("threads", {1, 2, 4, 8});
+  const auto thread_counts = args.get_count_list("threads", {1, 2, 4, 8});
   args.finish();
   for (const long long threads : thread_counts)
     if (threads < 0)
@@ -188,3 +188,5 @@ int main(int argc, char** argv) {
   json.write("BENCH_hetero.json");
   return deterministic ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

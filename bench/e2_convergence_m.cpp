@@ -12,11 +12,11 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/10);
-  const long long n = args.get_int("n", 4096);
-  const auto resource_counts = args.get_int_list("m", {16, 32, 64, 128, 256, 512});
+  const long long n = static_cast<long long>(args.get_count("n", 4096));
+  const auto resource_counts = args.get_count_list("m", {16, 32, 64, 128, 256, 512});
   const double slack = args.get_double("slack", 0.15);
   args.finish();
 
@@ -52,3 +52,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -13,11 +13,11 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/1);
-  const long long n = args.get_int("n", 4096);
-  const long long m = args.get_int("m", 256);
+  const long long n = static_cast<long long>(args.get_count("n", 4096));
+  const long long m = static_cast<long long>(args.get_count("m", 256));
   const double slack = args.get_double("slack", 0.15);
   args.finish();
 
@@ -65,3 +65,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

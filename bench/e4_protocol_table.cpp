@@ -26,11 +26,11 @@ struct Family {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/5);
-  const long long n = args.get_int("n", 2048);
-  const long long m = args.get_int("m", 128);
+  const long long n = static_cast<long long>(args.get_count("n", 2048));
+  const long long m = static_cast<long long>(args.get_count("m", 128));
   args.finish();
 
   const auto sn = static_cast<std::size_t>(n);
@@ -91,3 +91,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

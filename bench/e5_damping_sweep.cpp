@@ -17,11 +17,12 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/10);
-  const long long n = args.get_int("n", 1000);
-  const long long cap = args.get_int("max-rounds", 2000);
+  const long long n = static_cast<long long>(args.get_count("n", 1000));
+  const long long cap =
+      static_cast<long long>(args.get_count("max-rounds", 2000));
   args.finish();
 
   struct Config {
@@ -71,3 +72,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

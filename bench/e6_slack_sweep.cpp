@@ -12,12 +12,13 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/10);
-  const long long n = args.get_int("n", 1024);
-  const long long m = args.get_int("m", 64);
-  const long long cap = args.get_int("max-rounds", 20000);
+  const long long n = static_cast<long long>(args.get_count("n", 1024));
+  const long long m = static_cast<long long>(args.get_count("m", 64));
+  const long long cap =
+      static_cast<long long>(args.get_count("max-rounds", 20000));
   args.finish();
 
   const std::vector<double> slacks = {0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9};
@@ -52,3 +53,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -24,10 +24,10 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/10);
-  const long long n = args.get_int("n", 1024);
+  const long long n = static_cast<long long>(args.get_count("n", 1024));
   args.finish();
 
   constexpr Vertex kResources = 64;
@@ -97,3 +97,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -14,10 +14,10 @@
 using namespace qoslb;
 using namespace qoslb::bench;
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const CommonArgs common = read_common(args, /*default_reps=*/10);
-  const auto sizes = args.get_int_list("sizes", {128, 256, 512, 1024, 2048, 4096});
+  const auto sizes = args.get_count_list("sizes", {128, 256, 512, 1024, 2048, 4096});
   const double slack = args.get_double("slack", 0.4);
   args.finish();
 
@@ -65,3 +65,5 @@ int main(int argc, char** argv) {
   emit(table, common);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_bench(argc, argv, bench_main); }

@@ -10,7 +10,6 @@
 #include "core/async/async_protocols.hpp"
 #include "core/potential.hpp"
 #include "core/weighted/weighted_protocols.hpp"
-#include "core/weighted/weighted_state.hpp"
 #include "obs/decision_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
@@ -727,6 +726,11 @@ EngineResult Engine::resume(Protocol& protocol, const SnapshotV1& snapshot,
 
 EngineResult Engine::run(WeightedProtocol& protocol, WeightedState& state,
                          Xoshiro256& rng) const {
+  // Weighted protocols step on the caller's RNG, so, like step() protocols
+  // on the State overload, they can take neither churn nor checkpoints.
+  QOSLB_REQUIRE(!config_.churn.any(), "weighted runs take no churn plan");
+  QOSLB_REQUIRE(config_.snapshot_rounds.empty(),
+                "weighted runs take no snapshot rounds");
   // The weighted loop checks stability *before* each step (matching the
   // historical run_weighted_protocol semantics exactly).
   EngineResult result;
@@ -754,6 +758,9 @@ EngineResult Engine::run(WeightedProtocol& protocol, WeightedState& state,
     }
     ++result.counters.rounds;
     ++result.rounds;
+    if (config_.invariant_check_period != 0 &&
+        result.rounds % config_.invariant_check_period == 0)
+      state.check_invariants();
   }
   result.termination =
       result.converged ? Termination::kConverged : Termination::kRoundCap;

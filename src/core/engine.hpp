@@ -8,6 +8,7 @@
 #include "core/protocol.hpp"
 #include "core/snapshot.hpp"
 #include "core/state.hpp"
+#include "core/weighted/weighted_state.hpp"
 #include "obs/telemetry.hpp"
 #include "core/accounting.hpp"
 #include "sim/faults.hpp"
@@ -15,9 +16,7 @@
 
 namespace qoslb {
 
-class Instance;
 class WeightedProtocol;
-class WeightedState;
 
 /// Why a run stopped.
 enum class Termination : std::uint8_t {
@@ -164,6 +163,10 @@ class Engine {
 
   /// Weighted-model overload: the state/protocol kinds select the weighted
   /// sequential path, so callers use one run() entry point for both models.
+  /// A weighted protocol steps on `rng` like a step() protocol: it honours
+  /// max_rounds, stability_check_period, invariant_check_period and the
+  /// metrics and clock of the telemetry, and rejects a churn plan and
+  /// snapshot rounds (docs/engine.md).
   EngineResult run(WeightedProtocol& protocol, WeightedState& state,
                    Xoshiro256& rng) const;
 

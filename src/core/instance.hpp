@@ -23,6 +23,9 @@ namespace qoslb {
 /// outlive it.
 class Instance {
  public:
+  /// The load and threshold type: a load counts users.
+  using Load = int;
+
   /// Uniform rates: per-resource capacities, per-user requirements.
   Instance(std::vector<double> capacities, std::vector<double> requirements);
 
@@ -39,6 +42,9 @@ class Instance {
 
   double capacity(ResourceId r) const;
   double requirement(UserId u) const;
+  /// Every user weighs 1 in the unit model, so the total weight is n.
+  int weight(UserId) const { return 1; }
+  std::size_t total_weight() const { return num_users(); }
   const std::vector<double>& capacities() const { return capacities_; }
   const std::vector<double>& requirements() const { return requirements_; }
 

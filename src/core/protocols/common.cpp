@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/satisfaction_scan.hpp"
+#include "core/weighted/weighted_state.hpp"
 
 namespace qoslb {
 
@@ -39,8 +40,10 @@ void apply_all(State& state, const std::vector<MigrationRequest>& requests,
   }
 }
 
-std::vector<int> resident_min_thresholds(const State& state) {
-  std::vector<int> min_threshold(state.num_resources());
+template <typename Model>
+std::vector<typename Model::Load> resident_min_thresholds(
+    const BasicState<Model>& state) {
+  std::vector<typename Model::Load> min_threshold(state.num_resources());
   for (ResourceId r = 0; r < state.num_resources(); ++r)
     min_threshold[r] = state.satisfied_resident_min(r);
   return min_threshold;
@@ -49,37 +52,40 @@ std::vector<int> resident_min_thresholds(const State& state) {
 namespace {
 
 /// A migration request keyed by the requester's threshold on its target.
+template <typename Load>
 struct KeyedRequest {
-  int threshold;
+  Load threshold;
   UserId user;
 };
 
 }  // namespace
 
-void apply_with_admission(State& state,
+template <typename Model>
+void apply_with_admission(BasicState<Model>& state,
                           const std::vector<MigrationRequest>& requests,
                           Counters& counters) {
+  using Load = typename Model::Load;
   counters.migrate_requests += requests.size();
   if (requests.empty()) return;
 
   state.enable_satisfaction_tracking();
   // Taken before any grant moves a user: the gate protects the residents
   // satisfied at the round boundary.
-  const std::vector<int> resident_min = resident_min_thresholds(state);
+  const std::vector<Load> resident_min = resident_min_thresholds(state);
 
   // Group requests by target with a counting pass. After the scatter,
   // group_end[r] is the end of r's group and the start of r + 1's.
-  const Instance& instance = state.instance();
+  const Model& instance = state.instance();
   const std::size_t m = state.num_resources();
   thread_local std::vector<std::size_t> group_end;
-  thread_local std::vector<KeyedRequest> grouped;
+  thread_local std::vector<KeyedRequest<Load>> grouped;
   group_end.assign(m + 1, 0);
   for (const MigrationRequest& req : requests) ++group_end[req.target + 1];
   for (std::size_t r = 0; r < m; ++r) group_end[r + 1] += group_end[r];
   grouped.resize(requests.size());
   for (const MigrationRequest& req : requests)
     grouped[group_end[req.target]++] =
-        KeyedRequest{instance.threshold(req.user, req.target), req.user};
+        KeyedRequest<Load>{instance.threshold(req.user, req.target), req.user};
 
   std::size_t begin = 0;
   for (ResourceId r = 0; r < m; ++r) {
@@ -87,15 +93,18 @@ void apply_with_admission(State& state,
     if (begin == end) continue;
     const auto first = grouped.begin() + static_cast<std::ptrdiff_t>(begin);
     const auto last = grouped.begin() + static_cast<std::ptrdiff_t>(end);
-    std::sort(first, last, [](const KeyedRequest& a, const KeyedRequest& b) {
-      if (a.threshold != b.threshold) return a.threshold > b.threshold;
-      return a.user < b.user;  // deterministic tie-break
-    });
+    std::sort(first, last,
+              [](const KeyedRequest<Load>& a, const KeyedRequest<Load>& b) {
+                if (a.threshold != b.threshold) return a.threshold > b.threshold;
+                return a.user < b.user;  // deterministic tie-break
+              });
     const std::size_t size = end - begin;
-    const int base_load = state.load(r);
+    // The admitted prefix's load: its size in the unit model, its total
+    // weight in the weighted one.
+    Load post_load = state.load(r);
     std::size_t admitted = 0;
     while (admitted < size) {
-      const int post_load = base_load + static_cast<int>(admitted) + 1;
+      post_load += instance.weight(first[admitted].user);
       if (post_load > resident_min[r] || post_load > first[admitted].threshold)
         break;
       ++admitted;
@@ -107,5 +116,14 @@ void apply_with_admission(State& state,
     begin = end;
   }
 }
+
+template void apply_with_admission(State&, const std::vector<MigrationRequest>&,
+                                   Counters&);
+template void apply_with_admission(WeightedState&,
+                                   const std::vector<MigrationRequest>&,
+                                   Counters&);
+template std::vector<int> resident_min_thresholds(const State&);
+template std::vector<std::int64_t> resident_min_thresholds(
+    const WeightedState&);
 
 }  // namespace qoslb

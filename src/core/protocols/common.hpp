@@ -89,23 +89,31 @@ void apply_all(State& state, const std::vector<MigrationRequest>& requests,
 
 /// Resource-gated admission (protocol P4/P5-admission of DESIGN.md): each
 /// resource sorts its requesters by descending threshold on it (ties to the
-/// lower user id) and admits the longest prefix k such that the
-/// post-admission load keeps both the admitted requesters and the residents
-/// satisfied at the round boundary:
-///     load + k ≤ min(resident_min_threshold, k-th admitted threshold).
-/// Rejected requesters stay where they are; grants + rejects == requests.
-/// Turns on satisfaction tracking (a no-op under Engine::run); a round then
-/// costs O(m log n + R log R) for R requests — one threshold lookup per
-/// request, m index lookups for the resident minima.
-void apply_with_admission(State& state,
+/// lower user id) and admits the longest prefix whose post-admission load
+/// keeps both the admitted requesters and the residents satisfied at the
+/// round boundary — in the unit model
+///     load + k ≤ min(resident_min_threshold, k-th admitted threshold),
+/// and in the weighted model the same with k replaced by the prefix's total
+/// weight (a heavy requester can end the prefix while lighter ones behind it
+/// would still fit: fragmentation, E13). Rejected requesters stay where they
+/// are; grants + rejects == requests. Turns on satisfaction tracking (a
+/// no-op under Engine::run); a round then costs O(m log n + R log R) for R
+/// requests — one threshold lookup per request, m index lookups for the
+/// resident minima. Takes either model's state; instantiated for both in
+/// core/protocols/common.cpp.
+template <typename Model>
+void apply_with_admission(BasicState<Model>& state,
                           const std::vector<MigrationRequest>& requests,
                           Counters& counters);
 
 /// Minimum threshold among the *currently satisfied* residents of each
-/// resource (num_users()+1 when there is none, i.e. no resident constraint).
-/// Unsatisfied residents do not gate admission — they cannot be hurt further.
-/// One State::satisfied_resident_min() lookup per resource; requires
-/// satisfaction tracking.
-std::vector<int> resident_min_thresholds(const State& state);
+/// resource (total weight + 1, i.e. num_users()+1 in the unit model, when
+/// there is none: no resident constraint). Unsatisfied residents do not
+/// gate admission — they cannot be hurt further. One
+/// satisfied_resident_min() lookup per resource; requires satisfaction
+/// tracking.
+template <typename Model>
+std::vector<typename Model::Load> resident_min_thresholds(
+    const BasicState<Model>& state);
 
 }  // namespace qoslb

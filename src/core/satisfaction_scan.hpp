@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/types.hpp"
 
@@ -60,22 +61,27 @@ inline std::size_t count_satisfied_scan(const ResourceId* assignment,
 }
 
 /// Dense variant over users [0, n): no index gather for the per-user arrays.
-inline std::size_t count_satisfied_dense(const ResourceId* assignment,
-                                         const int* threshold_here,
-                                         const int* loads, std::size_t n) {
+/// `Load` is the state's load type; the AVX2 lanes are 32-bit, so only the
+/// unit model's `int` loads take them (weight loads run the scalar loop).
+template <typename Load>
+std::size_t count_satisfied_dense(const ResourceId* assignment,
+                                  const Load* threshold_here,
+                                  const Load* loads, std::size_t n) {
   std::size_t unsatisfied = 0;
   std::size_t i = 0;
 #if defined(__AVX2__)
-  for (; i + 8 <= n; i += 8) {
-    const __m256i res = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(assignment + i));
-    const __m256i load = _mm256_i32gather_epi32(loads, res, 4);
-    const __m256i thr = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(threshold_here + i));
-    const __m256i over = _mm256_cmpgt_epi32(load, thr);
-    unsatisfied += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(over)))));
+  if constexpr (std::is_same_v<Load, int>) {
+    for (; i + 8 <= n; i += 8) {
+      const __m256i res = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(assignment + i));
+      const __m256i load = _mm256_i32gather_epi32(loads, res, 4);
+      const __m256i thr = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(threshold_here + i));
+      const __m256i over = _mm256_cmpgt_epi32(load, thr);
+      unsatisfied += static_cast<std::size_t>(
+          __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(
+              _mm256_castsi256_ps(over)))));
+    }
   }
 #endif
   for (; i < n; ++i)

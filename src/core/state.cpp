@@ -4,12 +4,15 @@
 #include <utility>
 
 #include "core/satisfaction_scan.hpp"
+#include "core/weighted/weighted_state.hpp"
 #include "rng/distributions.hpp"
 #include "util/check.hpp"
 
 namespace qoslb {
 
-State::State(const Instance& instance, std::vector<ResourceId> assignment)
+template <typename Model>
+BasicState<Model>::BasicState(const Model& instance,
+                              std::vector<ResourceId> assignment)
     : instance_(&instance), assignment_(std::move(assignment)) {
   QOSLB_REQUIRE(assignment_.size() == instance.num_users(),
                 "assignment must place every user");
@@ -18,25 +21,27 @@ State::State(const Instance& instance, std::vector<ResourceId> assignment)
   for (UserId u = 0; u < assignment_.size(); ++u) {
     const ResourceId r = assignment_[u];
     QOSLB_REQUIRE(r < instance.num_resources(), "assignment to unknown resource");
-    const int threshold = instance.threshold(u, r);
+    const Load threshold = instance.threshold(u, r);
     // Every unreachable pair has threshold 0, so only a 0 needs the lookup.
     QOSLB_REQUIRE(threshold > 0 || !instance.restricted() ||
                       instance.rate(u, r) > 0.0,
                   "assignment places a user on an unreachable resource");
     current_thresholds_[u] = threshold;
-    ++loads_[r];
+    loads_[r] += instance.weight(u);
   }
   live_.assign(instance.num_resources(), 1);
   live_list_.resize(instance.num_resources());
   for (ResourceId r = 0; r < live_list_.size(); ++r) live_list_[r] = r;
 }
 
-bool State::resource_live(ResourceId r) const {
+template <typename Model>
+bool BasicState<Model>::resource_live(ResourceId r) const {
   QOSLB_REQUIRE(r < live_.size(), "resource out of range");
   return live_[r] != 0;
 }
 
-void State::set_resource_live(ResourceId r, bool live) {
+template <typename Model>
+void BasicState<Model>::set_resource_live(ResourceId r, bool live) {
   QOSLB_REQUIRE(r < live_.size(), "resource out of range");
   QOSLB_REQUIRE((live_[r] != 0) != live, "liveness flip must change state");
   if (!live)
@@ -47,12 +52,15 @@ void State::set_resource_live(ResourceId r, bool live) {
     if (live_[s] != 0) live_list_.push_back(s);
 }
 
-State State::all_on(const Instance& instance, ResourceId r) {
+template <typename Model>
+BasicState<Model> BasicState<Model>::all_on(const Model& instance,
+                                            ResourceId r) {
   QOSLB_REQUIRE(r < instance.num_resources(), "resource out of range");
-  return State(instance, std::vector<ResourceId>(instance.num_users(), r));
+  return BasicState(instance, std::vector<ResourceId>(instance.num_users(), r));
 }
 
-State State::round_robin(const Instance& instance) {
+template <typename Model>
+BasicState<Model> BasicState<Model>::round_robin(const Model& instance) {
   std::vector<ResourceId> assignment(instance.num_users());
   if (instance.restricted()) {
     // Balanced over each user's own reachable set instead of [0, m).
@@ -64,10 +72,12 @@ State State::round_robin(const Instance& instance) {
     for (std::size_t u = 0; u < assignment.size(); ++u)
       assignment[u] = static_cast<ResourceId>(u % instance.num_resources());
   }
-  return State(instance, std::move(assignment));
+  return BasicState(instance, std::move(assignment));
 }
 
-State State::random(const Instance& instance, Xoshiro256& rng) {
+template <typename Model>
+BasicState<Model> BasicState<Model>::random(const Model& instance,
+                                            Xoshiro256& rng) {
   std::vector<ResourceId> assignment(instance.num_users());
   if (instance.restricted()) {
     for (UserId u = 0; u < assignment.size(); ++u) {
@@ -79,10 +89,12 @@ State State::random(const Instance& instance, Xoshiro256& rng) {
       r = static_cast<ResourceId>(
           uniform_u64_below(rng, instance.num_resources()));
   }
-  return State(instance, std::move(assignment));
+  return BasicState(instance, std::move(assignment));
 }
 
-State State::two_choices(const Instance& instance, Xoshiro256& rng) {
+template <typename Model>
+BasicState<Model> BasicState<Model>::two_choices(const Model& instance,
+                                                 Xoshiro256& rng) {
   std::vector<ResourceId> assignment(instance.num_users());
   std::vector<int> loads(instance.num_resources(), 0);
   for (UserId u = 0; u < assignment.size(); ++u) {
@@ -102,85 +114,107 @@ State State::two_choices(const Instance& instance, Xoshiro256& rng) {
     ++loads[choice];
     assignment[u] = choice;
   }
-  return State(instance, std::move(assignment));
+  return BasicState(instance, std::move(assignment));
 }
 
-ResourceId State::resource_of(UserId u) const {
+template <typename Model>
+ResourceId BasicState<Model>::resource_of(UserId u) const {
   QOSLB_REQUIRE(u < assignment_.size(), "user out of range");
   return assignment_[u];
 }
 
-int State::load(ResourceId r) const {
+template <typename Model>
+auto BasicState<Model>::load(ResourceId r) const -> Load {
   QOSLB_REQUIRE(r < loads_.size(), "resource out of range");
   return loads_[r];
 }
 
-void State::move(UserId u, ResourceId r) {
+template <typename Model>
+void BasicState<Model>::move(UserId u, ResourceId r) {
   QOSLB_REQUIRE(u < assignment_.size(), "user out of range");
   QOSLB_REQUIRE(r < loads_.size(), "resource out of range");
   const ResourceId old = assignment_[u];
   if (old == r) return;
   QOSLB_REQUIRE(!instance_->restricted() || instance_->rate(u, r) > 0.0,
                 "move to an unreachable resource");
-  --loads_[old];
-  ++loads_[r];
+  const Load weight = instance_->weight(u);
+  loads_[old] -= weight;
+  loads_[r] += weight;
   assignment_[u] = r;
   current_thresholds_[u] = instance_->threshold(u, r);
   if (index_)
     index_->on_move(u, old, r, current_thresholds_[u], loads_[old], loads_[r],
-                    /*delta=*/1);
+                    /*delta=*/weight);
 }
 
-void State::enable_satisfaction_tracking() {
+template <typename Model>
+void BasicState<Model>::enable_satisfaction_tracking() {
   if (index_) return;
   index_.emplace();
   index_->rebuild(num_users(), num_resources(), assignment_.data(),
                   current_thresholds_.data(), loads_.data());
 }
 
-const std::vector<UserId>& State::unsatisfied_view() {
+template <typename Model>
+const std::vector<UserId>& BasicState<Model>::unsatisfied_view() {
   QOSLB_REQUIRE(index_.has_value(),
                 "unsatisfied_view() needs enable_satisfaction_tracking()");
   return index_->unsatisfied();
 }
 
-int State::satisfied_resident_min(ResourceId r) const {
+template <typename Model>
+auto BasicState<Model>::satisfied_resident_min(ResourceId r) const -> Load {
   QOSLB_REQUIRE(index_.has_value(),
                 "satisfied_resident_min() needs enable_satisfaction_tracking()");
   QOSLB_REQUIRE(r < loads_.size(), "resource out of range");
-  return index_->min_threshold_at_least(r, loads_[r],
-                                        static_cast<int>(num_users()) + 1);
+  return index_->min_threshold_at_least(
+      r, loads_[r], static_cast<Load>(instance_->total_weight()) + 1);
 }
 
-double State::quality_of(UserId u) const {
+template <typename Model>
+double BasicState<Model>::quality_of(UserId u) const {
   const ResourceId r = resource_of(u);
   return instance_->quality(u, r, loads_[r]);
 }
 
-bool State::satisfied(UserId u) const {
+template <typename Model>
+bool BasicState<Model>::satisfied(UserId u) const {
   QOSLB_REQUIRE(u < assignment_.size(), "user out of range");
   return loads_[assignment_[u]] <= current_thresholds_[u];
 }
 
-std::size_t State::count_satisfied() const {
+template <typename Model>
+std::size_t BasicState<Model>::count_satisfied() const {
   if (index_) return index_->satisfied_count();
   return count_satisfied_dense(assignment_.data(), current_thresholds_.data(),
                                loads_.data(), assignment_.size());
 }
 
-int State::max_load() const {
+template <typename Model>
+std::uint64_t BasicState<Model>::satisfied_weight() const {
+  std::uint64_t total = 0;
+  for (UserId u = 0; u < assignment_.size(); ++u)
+    if (satisfied(u)) total += instance_->weight(u);
+  return total;
+}
+
+template <typename Model>
+auto BasicState<Model>::max_load() const -> Load {
   return *std::max_element(loads_.begin(), loads_.end());
 }
 
-int State::min_load() const {
+template <typename Model>
+auto BasicState<Model>::min_load() const -> Load {
   return *std::min_element(loads_.begin(), loads_.end());
 }
 
-void State::check_invariants() const {
-  std::vector<int> expected(loads_.size(), 0);
-  for (const ResourceId r : assignment_) {
+template <typename Model>
+void BasicState<Model>::check_invariants() const {
+  std::vector<Load> expected(loads_.size(), 0);
+  for (UserId u = 0; u < assignment_.size(); ++u) {
+    const ResourceId r = assignment_[u];
     QOSLB_CHECK(r < loads_.size(), "assignment to unknown resource");
-    ++expected[r];
+    expected[r] += instance_->weight(u);
   }
   QOSLB_CHECK(expected == loads_, "cached loads diverged from assignment");
   for (UserId u = 0; u < assignment_.size(); ++u)
@@ -204,5 +238,8 @@ void State::check_invariants() const {
       [this](UserId u) { return current_thresholds_[u]; },
       [this](ResourceId r) { return loads_[r]; });
 }
+
+template class BasicState<Instance>;
+template class BasicState<WeightedInstance>;
 
 }  // namespace qoslb

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -11,8 +12,14 @@
 namespace qoslb {
 
 /// A complete assignment of users to resources plus the derived load vector.
-/// Holds a non-owning reference to its Instance (which must outlive it).
+/// Holds a non-owning reference to its instance (which must outlive it).
 /// move() maintains the loads incrementally in O(1).
+///
+/// `Model` is the instance type and fixes the unit load is counted in:
+/// `Instance` counts users (`Load` = int, every user weighs 1), and
+/// `WeightedInstance` sums integer user weights (`Load` = std::int64_t). A
+/// user's weight enters only where a load is summed or compared; everything
+/// else is the same code for both models (`State` and `WeightedState`).
 ///
 /// The storage is structure-of-arrays (docs/performance.md): three parallel
 /// contiguous arrays — `assignment_[u]`, `loads_[r]`, and
@@ -25,31 +32,34 @@ namespace qoslb {
 /// and whole-population checks vectorize (core/satisfaction_scan.hpp). The
 /// raw views below hand these arrays to the round hot path; they are
 /// read-only and valid until the next mutating call.
-class State {
+template <typename Model>
+class BasicState {
  public:
-  State(const Instance& instance, std::vector<ResourceId> assignment);
+  using Load = typename Model::Load;
+
+  BasicState(const Model& instance, std::vector<ResourceId> assignment);
 
   /// Every user on resource `r`.
-  static State all_on(const Instance& instance, ResourceId r);
+  static BasicState all_on(const Model& instance, ResourceId r);
 
   /// User u on resource u mod m (balanced deterministic start).
-  static State round_robin(const Instance& instance);
+  static BasicState round_robin(const Model& instance);
 
   /// Independent uniform placement.
-  static State random(const Instance& instance, Xoshiro256& rng);
+  static BasicState random(const Model& instance, Xoshiro256& rng);
 
   /// Sequential power-of-two-choices placement: each user samples two
-  /// resources and joins the one with the smaller current load (ties toward
-  /// the first sample). Classic O(log log n) max-load start.
-  static State two_choices(const Instance& instance, Xoshiro256& rng);
+  /// resources and joins the one with fewer users so far (ties toward the
+  /// first sample). Classic O(log log n) max-load start.
+  static BasicState two_choices(const Model& instance, Xoshiro256& rng);
 
-  const Instance& instance() const { return *instance_; }
+  const Model& instance() const { return *instance_; }
   std::size_t num_users() const { return assignment_.size(); }
   std::size_t num_resources() const { return loads_.size(); }
 
   ResourceId resource_of(UserId u) const;
-  int load(ResourceId r) const;
-  const std::vector<int>& loads() const { return loads_; }
+  Load load(ResourceId r) const;
+  const std::vector<Load>& loads() const { return loads_; }
 
   /// SoA views for the round hot path: the full assignment array and the
   /// per-user cached threshold-on-current-resource array (always equal to
@@ -57,7 +67,7 @@ class State {
   /// cache). Unlike resource_of(), reads through these views skip the
   /// per-call range check — callers iterate [0, num_users()).
   const std::vector<ResourceId>& assignment() const { return assignment_; }
-  const std::vector<int>& current_thresholds() const {
+  const std::vector<Load>& current_thresholds() const {
     return current_thresholds_;
   }
 
@@ -77,7 +87,8 @@ class State {
   /// schedule bug) and killing the last live resource.
   void set_resource_live(ResourceId r, bool live);
 
-  /// Moves user u to resource r (no-op allowed when r == current).
+  /// Moves user u to resource r (no-op allowed when r == current); u's
+  /// weight leaves the old resource's load and joins r's.
   void move(UserId u, ResourceId r);
 
   /// Quality currently experienced by user u.
@@ -87,13 +98,14 @@ class State {
   bool satisfied(UserId u) const;
 
   /// Turns on the incremental satisfaction index (idempotent; an O(n + m)
-  /// build with one counting-sort pass, no comparison sort). Afterwards
-  /// count_satisfied() is O(1), the unsatisfied set can be read in
-  /// ascending order, and every move() additionally maintains the index in
-  /// three binary searches (plus one array insert the first time a
-  /// threshold reaches a resource) and O(#satisfaction flips). The engine
-  /// enables this on every state it drives; states used as plain containers
-  /// can stay untracked.
+  /// build with one counting-sort pass in the unit model, no comparison
+  /// sort). Afterwards count_satisfied() is O(1), the unsatisfied set can
+  /// be read in ascending order, and every move() additionally maintains
+  /// the index in three binary searches (plus one array insert the first
+  /// time a threshold reaches a resource) and O(#satisfaction flips) — a
+  /// weighted move sweeps a window as wide as the mover's weight, so one
+  /// move can flip many users. The engine enables this on every state it
+  /// drives; states used as plain containers can stay untracked.
   void enable_satisfaction_tracking();
   bool satisfaction_tracking() const { return index_.has_value(); }
 
@@ -118,36 +130,45 @@ class State {
   }
 
   /// Minimum threshold among the residents of `r` that are satisfied at its
-  /// current load, or num_users() + 1 when none is: one binary search over
-  /// the index's threshold buckets, skipping those emptied since the build.
-  /// Requires satisfaction tracking.
-  int satisfied_resident_min(ResourceId r) const;
+  /// current load, or total weight + 1 (n + 1 in the unit model) when none
+  /// is: one binary search over the index's threshold buckets, skipping
+  /// those emptied since the build. Requires satisfaction tracking.
+  Load satisfied_resident_min(ResourceId r) const;
 
   std::size_t count_satisfied() const;
   std::size_t count_unsatisfied() const { return num_users() - count_satisfied(); }
 
-  int max_load() const;
-  int min_load() const;
+  /// Total weight of the satisfied users (the weighted welfare measure;
+  /// count_satisfied() in the unit model).
+  std::uint64_t satisfied_weight() const;
+
+  Load max_load() const;
+  Load min_load() const;
 
   /// Recomputes loads from the assignment and compares; additionally
-  /// audits the satisfaction index (bucket lists and bitmap, see
-  /// SatisfactionIndex::check_consistency) against the assignment and
-  /// verifies no user resides on a dead resource. Throws on any mismatch.
+  /// audits the threshold cache, the satisfaction index (bucket lists and
+  /// bitmap, see SatisfactionIndex::check_consistency) and liveness: no
+  /// user resides on a dead or unreachable resource. Throws on any mismatch.
   void check_invariants() const;
 
  private:
   // Only assignment_ and live_ reach the checkpoint; everything else is
   // derived from them (SnapshotV1::make_state reconstructs via rebind +
   // set_resource_live), which QL014 requires us to say explicitly.
-  const Instance* instance_;  // qoslb-snapshot: transient
+  const Model* instance_;  // qoslb-snapshot: transient
   std::vector<ResourceId> assignment_;
-  std::vector<int> loads_;  // qoslb-snapshot: transient
+  std::vector<Load> loads_;  // qoslb-snapshot: transient
   // threshold(u, assignment_[u])
-  std::vector<int> current_thresholds_;  // qoslb-snapshot: transient
+  std::vector<Load> current_thresholds_;  // qoslb-snapshot: transient
   std::vector<std::uint8_t> live_;
   // live ids, ascending
   std::vector<ResourceId> live_list_;  // qoslb-snapshot: transient
-  std::optional<SatisfactionIndex<int>> index_;  // qoslb-snapshot: transient
+  std::optional<SatisfactionIndex<Load>> index_;  // qoslb-snapshot: transient
 };
+
+/// The unit model's state: a load counts users. The member definitions are
+/// explicitly instantiated for both models in core/state.cpp;
+/// core/weighted/weighted_state.hpp names the weighted one.
+using State = BasicState<Instance>;
 
 }  // namespace qoslb

@@ -77,7 +77,8 @@ std::int64_t WeightedInstance::threshold(UserId u, ResourceId r) const {
   return static_cast<std::int64_t>(std::min(floored, cap));
 }
 
-double WeightedInstance::quality(ResourceId r, std::int64_t weight_load) const {
+double WeightedInstance::quality(UserId, ResourceId r,
+                                 std::int64_t weight_load) const {
   QOSLB_REQUIRE(weight_load >= 1, "quality defined for positive load");
   return capacity(r) / static_cast<double>(weight_load);
 }

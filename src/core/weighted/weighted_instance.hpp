@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/rate_model.hpp"
@@ -25,6 +26,9 @@ namespace qoslb {
 /// here and is rejected at construction.
 class WeightedInstance {
  public:
+  /// The load and threshold type: a load sums user weights.
+  using Load = std::int64_t;
+
   WeightedInstance(std::vector<double> capacities, std::vector<double> requirements,
                    std::vector<std::uint32_t> weights);
   WeightedInstance(std::vector<double> capacities, std::vector<double> requirements,
@@ -41,11 +45,21 @@ class WeightedInstance {
   const RateModel& rate_model() const { return rates_; }
   double rate(UserId u, ResourceId r) const { return rates_.rate(u, r); }
 
+  /// Always false: the constructor rejects restricted rate models.
+  bool restricted() const { return rates_.restricted(); }
+  std::span<const ResourceId> reachable(UserId u) const {
+    return rates_.reachable(u);
+  }
+
   /// Maximum total weight of `r` at which user `u` is still satisfied,
   /// clamped to total_weight().
   std::int64_t threshold(UserId u, ResourceId r) const;
 
-  double quality(ResourceId r, std::int64_t weight_load) const;
+  /// Quality per unit of weight on `r` at total weight `weight_load`:
+  /// `s_r / W_r`. Speeds do not enter it (they enter threshold()), so
+  /// w-seq-br, which ranks its targets by this quality, ranks them by
+  /// capacity share alone (docs/heterogeneity.md).
+  double quality(UserId u, ResourceId r, std::int64_t weight_load) const;
 
   bool identical_capacities() const { return identical_; }
 

@@ -1,7 +1,8 @@
 #include "core/weighted/weighted_protocols.hpp"
 
-#include <algorithm>
+#include <vector>
 
+#include "core/protocols/common.hpp"
 #include "rng/distributions.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
@@ -9,45 +10,27 @@
 namespace qoslb {
 namespace {
 
-struct Request {
-  UserId user;
-  ResourceId target;
-};
-
 /// Decision phase shared by the weighted round protocols: every unsatisfied
-/// user probes one uniform resource and wishes to move if the snapshot load
-/// plus its own weight fits its threshold.
-std::vector<Request> collect_requests(const WeightedState& state,
-                                      const std::vector<std::int64_t>& snapshot,
-                                      Xoshiro256& rng, Counters& counters) {
+/// user, in ascending id order, probes one uniform resource and requests a
+/// move if that resource's load plus its own weight fits its threshold
+/// there. Nothing moves before every user has decided, so each reads the
+/// round-boundary loads.
+std::vector<MigrationRequest> collect_requests(const WeightedState& state,
+                                               Xoshiro256& rng,
+                                               Counters& counters) {
   const WeightedInstance& instance = state.instance();
-  std::vector<Request> requests;
-  for (UserId u = 0; u < state.num_users(); ++u) {
-    const ResourceId current = state.resource_of(u);
-    if (snapshot[current] <= instance.threshold(u, current)) continue;
+  const std::vector<std::int64_t>& loads = state.loads();
+  std::vector<MigrationRequest> requests;
+  state.for_each_unsatisfied([&](UserId u) {
     const auto r = static_cast<ResourceId>(
         uniform_u64_below(rng, state.num_resources()));
     ++counters.probes;
-    if (r == current) continue;
-    if (snapshot[r] + instance.weight(u) > instance.threshold(u, r)) continue;
-    requests.push_back(Request{u, r});
-  }
+    if (r != state.assignment()[u] &&
+        loads[r] + instance.weight(u) <= instance.threshold(u, r))
+      requests.push_back(MigrationRequest{u, r});
+    return true;
+  });
   return requests;
-}
-
-/// Minimum threshold among satisfied residents, per resource (the weighted
-/// admission gate; mirrors resident_min_thresholds in the unit model).
-std::vector<std::int64_t> satisfied_resident_min(const WeightedState& state) {
-  const WeightedInstance& instance = state.instance();
-  std::vector<std::int64_t> min_threshold(
-      state.num_resources(),
-      static_cast<std::int64_t>(instance.total_weight()) + 1);
-  for (UserId u = 0; u < state.num_users(); ++u) {
-    const ResourceId r = state.resource_of(u);
-    const std::int64_t t = instance.threshold(u, r);
-    if (t >= state.load(r)) min_threshold[r] = std::min(min_threshold[r], t);
-  }
-  return min_threshold;
 }
 
 }  // namespace
@@ -64,8 +47,7 @@ std::string WeightedUniformSampling::name() const {
 
 void WeightedUniformSampling::step(WeightedState& state, Xoshiro256& rng,
                                    Counters& counters) {
-  const std::vector<std::int64_t> snapshot = state.loads();
-  for (const Request& req : collect_requests(state, snapshot, rng, counters)) {
+  for (const MigrationRequest& req : collect_requests(state, rng, counters)) {
     if (!bernoulli(rng, migrate_prob_)) continue;
     state.move(req.user, req.target);
     ++counters.migrations;
@@ -74,76 +56,18 @@ void WeightedUniformSampling::step(WeightedState& state, Xoshiro256& rng,
 
 void WeightedAdmissionControl::step(WeightedState& state, Xoshiro256& rng,
                                     Counters& counters) {
-  const WeightedInstance& instance = state.instance();
-  const std::vector<std::int64_t> snapshot = state.loads();
-  const std::vector<Request> requests =
-      collect_requests(state, snapshot, rng, counters);
-  counters.migrate_requests += requests.size();
-  if (requests.empty()) return;
-
-  const std::vector<std::int64_t> resident_min = satisfied_resident_min(state);
-  std::vector<std::vector<UserId>> by_target(state.num_resources());
-  for (const Request& req : requests) by_target[req.target].push_back(req.user);
-
-  for (ResourceId r = 0; r < state.num_resources(); ++r) {
-    auto& requesters = by_target[r];
-    if (requesters.empty()) continue;
-    std::sort(requesters.begin(), requesters.end(), [&](UserId a, UserId b) {
-      const std::int64_t ta = instance.threshold(a, r);
-      const std::int64_t tb = instance.threshold(b, r);
-      if (ta != tb) return ta > tb;
-      return a < b;
-    });
-    const std::int64_t base_load = state.load(r);
-    std::int64_t admitted_weight = 0;
-    std::size_t admitted = 0;
-    while (admitted < requesters.size()) {
-      const UserId candidate = requesters[admitted];
-      const std::int64_t post_load =
-          base_load + admitted_weight + instance.weight(candidate);
-      if (post_load > resident_min[r] ||
-          post_load > instance.threshold(candidate, r))
-        break;
-      admitted_weight += instance.weight(candidate);
-      ++admitted;
-    }
-    for (std::size_t i = 0; i < requesters.size(); ++i) {
-      if (i < admitted) {
-        state.move(requesters[i], r);
-        ++counters.migrations;
-        ++counters.grants;
-      } else {
-        ++counters.rejects;
-      }
-    }
-  }
+  apply_with_admission(state, collect_requests(state, rng, counters), counters);
 }
 
 void WeightedSequentialBestResponse::step(WeightedState& state, Xoshiro256& rng,
                                           Counters& counters) {
-  const WeightedInstance& instance = state.instance();
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < state.num_users(); ++u)
-    if (!state.satisfied(u)) candidates.push_back(u);
-
+  std::vector<UserId> candidates = unsatisfied_users(state);
   while (!candidates.empty()) {
     const std::size_t idx = uniform_u64_below(rng, candidates.size());
-    const UserId u = candidates[idx];
     counters.probes += state.num_resources();
-    ResourceId best = kNoResource;
-    double best_quality = 0.0;
-    const ResourceId current = state.resource_of(u);
-    for (ResourceId r = 0; r < state.num_resources(); ++r) {
-      if (r == current || !weighted_satisfied_after_move(state, u, r)) continue;
-      const double quality =
-          instance.quality(r, state.load(r) + instance.weight(u));
-      if (best == kNoResource || quality > best_quality) {
-        best = r;
-        best_quality = quality;
-      }
-    }
+    const ResourceId best = best_satisfying_deviation(state, candidates[idx]);
     if (best != kNoResource) {
-      state.move(u, best);
+      state.move(candidates[idx], best);
       ++counters.migrations;
       return;
     }

@@ -1,28 +1,27 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/engine.hpp"
+#include "core/satisfaction.hpp"
 #include "core/weighted/weighted_state.hpp"
 #include "rng/xoshiro256.hpp"
 #include "core/accounting.hpp"
 
 namespace qoslb {
 
-/// Weighted counterparts of the round protocols. The interface mirrors
-/// core/protocol.hpp but operates on WeightedState; they are kept as a
-/// separate small hierarchy because weight-aware admission differs
-/// structurally (granting is a prefix in threshold order but the prefix sum
-/// is over *weights* — fragmentation appears, see E13).
+/// Weighted counterparts of the round protocols: one step() per round on a
+/// WeightedState. Only their decisions are their own — the satisfaction
+/// checks, the best-response scan and the admission gate are the unit
+/// model's, instantiated over weight loads (core/satisfaction.hpp,
+/// core/protocols/common.hpp).
 class WeightedProtocol {
  public:
   virtual ~WeightedProtocol() = default;
   virtual std::string name() const = 0;
   virtual void step(WeightedState& state, Xoshiro256& rng, Counters& counters) = 0;
   virtual bool is_stable(const WeightedState& state) const {
-    return is_weighted_satisfaction_equilibrium(state);
+    return is_satisfaction_equilibrium(state);
   }
   virtual void reset() {}
 };
@@ -38,9 +37,10 @@ class WeightedUniformSampling : public WeightedProtocol {
   double migrate_prob_;
 };
 
-/// Resource-gated admission (weighted P4): each resource sorts requesters by
-/// descending threshold and admits the longest prefix whose *weight* sum
-/// keeps the admitted and the satisfied residents under their thresholds.
+/// Resource-gated admission (weighted P4): the unit model's
+/// apply_with_admission over weight loads — each resource admits the longest
+/// threshold-ordered prefix whose *weight* sum keeps the admitted and the
+/// satisfied residents under their thresholds.
 class WeightedAdmissionControl : public WeightedProtocol {
  public:
   WeightedAdmissionControl() = default;

@@ -9,10 +9,11 @@ namespace qoslb::lint {
 namespace {
 
 /// Structs serialized by the checkpoint codec rather than by member hooks
-/// of their own.
+/// of their own. Matched by name, so each entry must name a struct or class
+/// template defined under src/; rules_snapshot reports one that does not.
 const std::set<std::string>& table_audited() {
   static const std::set<std::string> kStructs = {
-      "State",      "EngineConfig", "ChurnTracker",
+      "BasicState", "EngineConfig", "ChurnTracker",
       "SnapshotV1", "Counters",     "ChurnStats",
   };
   return kStructs;
@@ -69,11 +70,13 @@ void rules_snapshot(const Context& ctx, std::vector<Finding>& out) {
   std::map<std::string, std::set<std::string>> hook_keywords;
   std::set<std::string> codec_keywords;
   bool codec_seen = false;
+  const FunctionDef* writer = nullptr;  // the checkpoint's write_snapshot
   for (const FunctionDef& fn : ctx.symbols.functions()) {
     std::set<std::string>* keywords = nullptr;
     if (checkpoint_codec().count(fn.name) != 0) {
       keywords = &codec_keywords;
       codec_seen = true;
+      if (fn.name == "write_snapshot" && writer == nullptr) writer = &fn;
     } else if (fn.name == "snapshot_write" || fn.name == "snapshot_read") {
       std::string owner = fn.qualifier;
       if (owner.empty()) {
@@ -92,7 +95,9 @@ void rules_snapshot(const Context& ctx, std::vector<Finding>& out) {
     keywords->insert(literals.begin(), literals.end());
   }
 
+  std::set<std::string> defined;
   for (const StructDef& s : ctx.symbols.structs()) {
+    defined.insert(s.name);
     const auto hooks = hook_keywords.find(s.name);
     if (hooks != hook_keywords.end()) {
       audit_struct(ctx, s, hooks->second,
@@ -100,6 +105,20 @@ void rules_snapshot(const Context& ctx, std::vector<Finding>& out) {
     } else if (codec_seen && table_audited().count(s.name) != 0) {
       audit_struct(ctx, s, codec_keywords, "the checkpoint codec", out);
     }
+  }
+
+  // A table entry that names no struct would be skipped without a word, so
+  // a rename would end its audit silently. Reported where the checkpoint is
+  // written: a tree without write_snapshot has no table to keep.
+  if (writer == nullptr) return;
+  for (const std::string& name : table_audited()) {
+    if (defined.count(name) != 0) continue;
+    out.push_back(
+        {"QL014", ctx.tree.files[writer->file].rel, writer->begin_line,
+         "QL014's checkpoint-codec table names '" + name +
+             "', but no struct or class of that name is defined under src/ "
+             "— its members go unaudited (after a rename, update "
+             "table_audited() in src/tools/lint/rules_snapshot.cpp)"});
   }
 }
 

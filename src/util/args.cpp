@@ -94,6 +94,17 @@ std::vector<long long> ArgParser::get_int_list(
   return parse_int_list(raw);
 }
 
+std::vector<long long> ArgParser::get_count_list(
+    const std::string& name, const std::vector<long long>& default_value) {
+  const std::vector<long long> values = get_int_list(name, default_value);
+  for (const long long value : values)
+    if (value < 0)
+      throw std::invalid_argument("--" + name +
+                                  " entries must be non-negative, got " +
+                                  std::to_string(value));
+  return values;
+}
+
 void ArgParser::finish() const {
   for (const auto& [name, used] : consumed_) {
     if (!used)

@@ -25,6 +25,10 @@ class ArgParser {
   bool get_flag(const std::string& name);
   std::vector<long long> get_int_list(const std::string& name,
                                       const std::vector<long long>& default_value);
+  /// A list of counts (--sizes, --threads, ...): get_int_list that throws
+  /// std::invalid_argument naming the flag when an entry is negative.
+  std::vector<long long> get_count_list(
+      const std::string& name, const std::vector<long long>& default_value);
 
   /// Throws std::invalid_argument if any argument was never consumed.
   void finish() const;

@@ -1,5 +1,5 @@
-// The qoslb command line, driven as a process: flags that no in-process test
-// reaches because the CLI parses them itself.
+// The qoslb command line and the bench binaries, driven as processes: flags
+// that no in-process test reaches because each binary parses them itself.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -15,8 +15,8 @@ struct CliRun {
   std::string output;  // stdout and stderr, interleaved
 };
 
-CliRun run_cli(const std::string& flags) {
-  const std::string command = std::string(QOSLB_CLI_PATH) + " " + flags + " 2>&1";
+CliRun run_binary(const std::string& binary, const std::string& flags) {
+  const std::string command = binary + " " + flags + " 2>&1";
   CliRun run;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return run;
@@ -42,10 +42,31 @@ TEST(Cli, NegativeCountFlagsFailNamingTheFlag) {
       {gen + "--n=20 --m=-3", "qoslb: --m must be non-negative, got -3"},
   };
   for (const auto& c : cases) {
-    const CliRun run = run_cli(c.flags);
+    const CliRun run = run_binary(QOSLB_CLI_PATH, c.flags);
     EXPECT_EQ(run.status, 1) << c.flags << '\n' << run.output;
     EXPECT_NE(run.output.find(c.message), std::string::npos)
         << c.flags << '\n' << run.output;
+  }
+}
+
+// The benches read every count flag through ArgParser::get_count, and
+// report a bad flag instead of aborting.
+TEST(BenchCli, NegativeCountFlagsFailNamingTheFlag) {
+  const struct {
+    const char* binary;
+    std::string flags;
+    std::string message;
+  } cases[] = {
+      {QOSLB_E13_PATH, "--n=-1", "e13_weighted: --n must be non-negative, got -1"},
+      {QOSLB_E13_PATH, "--m=-1", "e13_weighted: --m must be non-negative, got -1"},
+      {QOSLB_E22_PATH, "--n=-1",
+       "e22_active_set: --n must be non-negative, got -1"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_binary(c.binary, c.flags);
+    EXPECT_EQ(run.status, 1) << c.binary << ' ' << c.flags << '\n' << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos)
+        << c.binary << ' ' << c.flags << '\n' << run.output;
   }
 }
 

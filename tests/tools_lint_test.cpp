@@ -60,6 +60,7 @@ TEST(LintRules, ExactFixtureHitCounts) {
       {{"src/core/split_tracker.hpp", "QL014"}, 1},
       {{"src/core/window_tracker.hpp", "QL014"}, 1},
       {{"src/core/satisfaction_acc.hpp", "QL005"}, 2},
+      {{"src/core/snapshot_table.hpp", "QL014"}, 1},
       {{"src/core/wall_clock.cpp", "QL003"}, 3},
       {{"src/orphan.cpp", "QL004"}, 1},
       {{"src/sim/steady_clock_bad.cpp", "QL007"}, 2},
@@ -135,6 +136,15 @@ TEST(LintRules, Ql014ChecksCheckpointStructsAgainstTheirFieldLists) {
   EXPECT_EQ(fs[0].line, 9);
   EXPECT_NE(fs[0].message.find("'grants'"), std::string::npos);
   EXPECT_NE(fs[0].message.find("the checkpoint codec"), std::string::npos);
+}
+
+TEST(LintRules, Ql014FlagsTableEntriesThatNameNoStruct) {
+  const std::vector<Finding> fs = findings_for("src/core/snapshot_table.hpp");
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].rule, "QL014");
+  EXPECT_EQ(fs[0].line, 16);  // write_snapshot
+  EXPECT_NE(fs[0].message.find("'BasicState'"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("table_audited()"), std::string::npos);
 }
 
 TEST(LintRules, Ql010FlagsEverySpawnPrimitiveButNotMemberReads) {

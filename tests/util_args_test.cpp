@@ -95,6 +95,26 @@ TEST(ArgParser, BadCountRejected) {
   EXPECT_THROW(args.get_count("reps", 1), std::invalid_argument);
 }
 
+TEST(ArgParser, CountListReturnsValuesOrDefault) {
+  auto args = make({"prog", "--sizes=8,0,32"});
+  EXPECT_EQ(args.get_count_list("sizes", {1}),
+            (std::vector<long long>{8, 0, 32}));
+  EXPECT_EQ(args.get_count_list("threads", {1, 2}),
+            (std::vector<long long>{1, 2}));
+  args.finish();
+}
+
+TEST(ArgParser, NegativeCountListEntryNamesTheFlag) {
+  auto args = make({"prog", "--threads=1,-2,4", "--sizes=-1"});
+  try {
+    args.get_count_list("threads", {});
+    ADD_FAILURE() << "a negative list entry was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--threads entries must be non-negative, got -2");
+  }
+  EXPECT_THROW(args.get_count_list("sizes", {}), std::invalid_argument);
+}
+
 TEST(ArgParser, NegativeNumbersViaEquals) {
   auto args = make({"prog", "--delta=-3"});
   EXPECT_EQ(args.get_int("delta", 0), -3);

@@ -8,6 +8,7 @@
 // logarithmic-growth signature; a power-law fit exponent near 0 corroborates).
 
 #include <iostream>
+#include <stdexcept>
 
 #include "bench_common.hpp"
 #include "stats/regression.hpp"
@@ -21,6 +22,8 @@ static int bench_main(int argc, char** argv) {
   const auto sizes = args.get_count_list("sizes", {256, 512, 1024, 2048, 4096, 8192});
   const auto load_factor =
       static_cast<long long>(args.get_count("load-factor", 16));
+  if (load_factor == 0)
+    throw std::invalid_argument("--load-factor must be positive, got 0");
   const double slack = args.get_double("slack", 0.15);
   args.finish();
 

@@ -1,6 +1,7 @@
 #include "core/state.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "core/satisfaction_scan.hpp"
@@ -150,9 +151,12 @@ void BasicState<Model>::move(UserId u, ResourceId r) {
 template <typename Model>
 void BasicState<Model>::enable_satisfaction_tracking() {
   if (index_) return;
+  bool flat = false;
+  if constexpr (std::is_same_v<Model, Instance>)
+    flat = instance_->flat_thresholds_available();
   index_.emplace();
   index_->rebuild(num_users(), num_resources(), assignment_.data(),
-                  current_thresholds_.data(), loads_.data());
+                  current_thresholds_.data(), loads_.data(), flat);
 }
 
 template <typename Model>

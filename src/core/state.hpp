@@ -98,16 +98,24 @@ class BasicState {
   bool satisfied(UserId u) const;
 
   /// Turns on the incremental satisfaction index (idempotent; an O(n + m)
-  /// build with one counting-sort pass in the unit model, no comparison
-  /// sort). Afterwards count_satisfied() is O(1), the unsatisfied set can
-  /// be read in ascending order, and every move() additionally maintains
-  /// the index in three binary searches (plus one array insert the first
-  /// time a threshold reaches a resource) and O(#satisfaction flips) — a
-  /// weighted move sweeps a window as wide as the mover's weight, so one
-  /// move can flip many users. The engine enables this on every state it
-  /// drives; states used as plain containers can stay untracked.
+  /// build with no comparison sort). Afterwards count_satisfied() is O(1),
+  /// the unsatisfied set can be read in ascending order, and every move()
+  /// additionally maintains the index in three bucket lookups and
+  /// O(#satisfaction flips) — a weighted move sweeps a window as wide as
+  /// the mover's weight, so one move can flip many users. The instance
+  /// picks the layout (SatisfactionIndex): rank buckets, where a lookup is
+  /// one table load, when its thresholds do not depend on the resource
+  /// (Instance::flat_thresholds_available()) and m·|D| ≤ n for its distinct
+  /// thresholds D; otherwise, and always in the weighted model, sorted
+  /// per-resource buckets, where it is a binary search. The engine enables
+  /// this on every state it drives; states used as plain containers can
+  /// stay untracked.
   void enable_satisfaction_tracking();
   bool satisfaction_tracking() const { return index_.has_value(); }
+
+  /// True when the satisfaction index uses rank buckets (see
+  /// enable_satisfaction_tracking()); false without tracking.
+  bool rank_buckets() const { return index_ && index_->rank_buckets(); }
 
   /// The currently unsatisfied users, ascending: one O(|unsatisfied| +
   /// n/4096) walk of the index's bitmap into a buffer the index owns. The
@@ -131,8 +139,9 @@ class BasicState {
 
   /// Minimum threshold among the residents of `r` that are satisfied at its
   /// current load, or total weight + 1 (n + 1 in the unit model) when none
-  /// is: one binary search over the index's threshold buckets, skipping
-  /// those emptied since the build. Requires satisfaction tracking.
+  /// is: one bucket lookup in the index (a table load or a binary search),
+  /// then a skip over buckets emptied since the build. Requires
+  /// satisfaction tracking.
   Load satisfied_resident_min(ResourceId r) const;
 
   std::size_t count_satisfied() const;

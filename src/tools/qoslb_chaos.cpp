@@ -164,7 +164,8 @@ int run_chaos(ArgParser& args) {
   const double slack = args.get_double("slack", 0.15);
   const std::vector<ChaosKind> kinds =
       parse_protocols(args.get_string("protocols", "all"));
-  const std::string threads_spec = args.get_string("threads", "1,2,4,8");
+  const std::vector<long long> thread_list =
+      args.get_count_list("threads", {1, 2, 4, 8});
   const std::string modes_spec = args.get_string("modes", "dense,active");
   const auto max_rounds = args.get_count("rounds", 2000);
   const auto shard_size =
@@ -203,12 +204,8 @@ int run_chaos(ArgParser& args) {
   plan.validate(m);
 
   std::vector<std::size_t> thread_counts;
-  for (const long long threads : parse_int_list(threads_spec)) {
-    if (threads < 0)
-      throw std::invalid_argument("--threads must be non-negative, got " +
-                                  std::to_string(threads));
+  for (const long long threads : thread_list)
     thread_counts.push_back(static_cast<std::size_t>(threads));
-  }
   std::vector<EngineMode> modes;
   std::vector<std::string> mode_names;
   for (const std::string& item : split(modes_spec, ','))

@@ -6,6 +6,28 @@
 #include "util/strings.hpp"
 
 namespace qoslb {
+namespace {
+
+/// Parses all of `raw` with `parse` (std::stoll or std::stod) and turns
+/// every failure (no number, trailing text, a value out of range) into
+/// std::invalid_argument naming the flag and the raw text.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& raw,
+                 const char* expected, Parse parse) {
+  std::size_t consumed = 0;
+  try {
+    const auto value = parse(raw, &consumed);
+    if (consumed == raw.size()) return value;
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("--" + name + " is out of range, got '" + raw +
+                                "'");
+  } catch (const std::invalid_argument&) {
+  }
+  throw std::invalid_argument("--" + name + " expects " + expected + ", got '" +
+                              raw + "'");
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   QOSLB_REQUIRE(argc >= 1, "argc must include the program name");
@@ -42,11 +64,10 @@ long long ArgParser::get_int(const std::string& name, long long default_value) {
   bool present = false;
   const std::string raw = take(name, &present);
   if (!present) return default_value;
-  std::size_t consumed = 0;
-  const long long value = std::stoll(raw, &consumed);
-  if (consumed != raw.size())
-    throw std::invalid_argument("--" + name + " expects an integer, got '" + raw + "'");
-  return value;
+  return parse_whole(name, raw, "an integer",
+                     [](const std::string& text, std::size_t* consumed) {
+                       return std::stoll(text, consumed);
+                     });
 }
 
 std::uint64_t ArgParser::get_count(const std::string& name,
@@ -63,11 +84,10 @@ double ArgParser::get_double(const std::string& name, double default_value) {
   bool present = false;
   const std::string raw = take(name, &present);
   if (!present) return default_value;
-  std::size_t consumed = 0;
-  const double value = std::stod(raw, &consumed);
-  if (consumed != raw.size())
-    throw std::invalid_argument("--" + name + " expects a number, got '" + raw + "'");
-  return value;
+  return parse_whole(name, raw, "a number",
+                     [](const std::string& text, std::size_t* consumed) {
+                       return std::stod(text, consumed);
+                     });
 }
 
 std::string ArgParser::get_string(const std::string& name,
@@ -91,7 +111,13 @@ std::vector<long long> ArgParser::get_int_list(
   bool present = false;
   const std::string raw = take(name, &present);
   if (!present) return default_value;
-  return parse_int_list(raw);
+  try {
+    return parse_int_list(raw);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument("--" + name +
+                                " expects a comma-separated list of integers, "
+                                "got '" + raw + "'");
+  }
 }
 
 std::vector<long long> ArgParser::get_count_list(

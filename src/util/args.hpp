@@ -14,7 +14,10 @@ class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
 
-  /// Typed getters consume the option and record it as known.
+  /// Typed getters consume the option and record it as known. A value that
+  /// does not parse whole, or is out of range for its type, throws
+  /// std::invalid_argument naming the flag and the raw text
+  /// ("--n expects an integer, got 'abc'").
   long long get_int(const std::string& name, long long default_value);
   /// A count (users, rounds, threads, ...): get_int that throws
   /// std::invalid_argument naming the flag when the value is negative, so a

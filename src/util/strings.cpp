@@ -56,7 +56,12 @@ std::vector<long long> parse_int_list(std::string_view text) {
     const std::string_view token = trim(part);
     if (token.empty()) continue;
     std::size_t consumed = 0;
-    const long long value = std::stoll(std::string(token), &consumed);
+    long long value = 0;
+    try {
+      value = std::stoll(std::string(token), &consumed);
+    } catch (const std::logic_error&) {
+      // No digits, or out of range: `consumed` stays 0, refused below.
+    }
     if (consumed != token.size())
       throw std::invalid_argument("bad integer in list: '" + std::string(token) + "'");
     out.push_back(value);

@@ -19,7 +19,8 @@ std::string format_double(double value, int digits = 4);
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
-/// Parses a non-negative integer list like "8,16,32". Throws on bad input.
+/// Parses an integer list like "8,16,32". Throws std::invalid_argument on a
+/// malformed or out-of-range entry.
 std::vector<long long> parse_int_list(std::string_view text);
 
 }  // namespace qoslb

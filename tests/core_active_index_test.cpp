@@ -6,12 +6,16 @@
 // must also come out in ascending id order, through the refreshed view and
 // the const visitor alike. The admission gate's per-resource resident
 // minima, read from the index's threshold buckets, are checked the same way.
+// Both bucket layouts are covered: flat-threshold instances within the
+// m·|D| ≤ n guard take rank buckets, the rest sorted per-resource buckets,
+// and the layout tests pin which instance takes which.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -237,41 +241,134 @@ void random_reachable_move(State& state, Xoshiro256& rng) {
   if (state.resource_live(r)) state.move(u, r);
 }
 
+/// Where the index and a recompute disagree on the unsatisfied view, the
+/// satisfied count or the resident minima; empty when they agree.
+std::string index_mismatch(State& state) {
+  if (state.unsatisfied_view() != brute_force_unsatisfied(state))
+    return "unsatisfied view";
+  if (state.count_satisfied() != brute_force_satisfied(state))
+    return "satisfied count";
+  if (resident_min_thresholds(state) != brute_force_resident_min(state))
+    return "resident minima";
+  return "";
+}
+
 /// Random moves, then a kill of the most loaded resource with its residents
-/// evicted to their first live reachable resource, then a revive and more
-/// moves, comparing the resident minima with the recompute throughout.
-void check_resident_minima(State& state, Xoshiro256& rng) {
+/// evicted one by one to their first live reachable resource, then a revive
+/// and more moves. After every single move the unsatisfied view, the
+/// satisfied count and the resident minima must match the recompute.
+void check_move_by_move(State& state, Xoshiro256& rng) {
   state.enable_satisfaction_tracking();
   ASSERT_GT(state.count_unsatisfied(), 0u) << "no unsatisfied resident";
-  EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
+  ASSERT_EQ(index_mismatch(state), "") << "after the build";
   for (std::size_t i = 0; i < 2000; ++i) {
     random_reachable_move(state, rng);
-    if ((i + 1) % 50 == 0) {
-      ASSERT_EQ(resident_min_thresholds(state), brute_force_resident_min(state))
-          << "after move " << i;
-    }
+    ASSERT_EQ(index_mismatch(state), "") << "after move " << i;
   }
   const auto& loads = state.loads();
   const auto dead = static_cast<ResourceId>(
       std::max_element(loads.begin(), loads.end()) - loads.begin());
   state.set_resource_live(dead, false);
+  ASSERT_EQ(index_mismatch(state), "") << "after the kill";
+  const Instance& instance = state.instance();
   for (UserId u = 0; u < state.num_users(); ++u) {
     if (state.resource_of(u) != dead) continue;
-    const Instance& instance = state.instance();
     for (ResourceId r = 0; r < state.num_resources(); ++r)
       if (state.resource_live(r) &&
           (!instance.restricted() || instance.rate(u, r) > 0.0)) {
         state.move(u, r);
         break;
       }
+    ASSERT_EQ(index_mismatch(state), "") << "after evicting user " << u;
   }
   ASSERT_EQ(state.load(dead), 0);
   state.check_invariants();
-  EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
   state.set_resource_live(dead, true);
-  EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
-  for (std::size_t i = 0; i < 500; ++i) random_reachable_move(state, rng);
-  EXPECT_EQ(resident_min_thresholds(state), brute_force_resident_min(state));
+  ASSERT_EQ(index_mismatch(state), "") << "after the revive";
+  for (std::size_t i = 0; i < 500; ++i) {
+    random_reachable_move(state, rng);
+    ASSERT_EQ(index_mismatch(state), "") << "after revived move " << i;
+  }
+  state.check_invariants();
+}
+
+/// A base-model instance (identical unit capacities, uniform rates, so flat
+/// thresholds) whose users have exactly the given thresholds.
+Instance flat_instance(std::size_t m, const std::vector<int>& thresholds) {
+  std::vector<double> requirements;
+  for (const int t : thresholds)
+    requirements.push_back(1.0 / static_cast<double>(t));
+  return Instance::identical(m, 1.0, std::move(requirements));
+}
+
+/// Whether `instance`'s tracked round-robin state takes rank buckets; the
+/// audit must pass in either layout.
+bool takes_rank_buckets(const Instance& instance) {
+  State state = State::round_robin(instance);
+  EXPECT_FALSE(state.rank_buckets()) << "untracked state reports a layout";
+  state.enable_satisfaction_tracking();
+  state.check_invariants();
+  return state.rank_buckets();
+}
+
+TEST(IndexLayout, RankBucketsExactlyWhenFlatAndWithinTheGuard) {
+  // 12 users over |D| = 4 distinct thresholds: m·|D| ≤ n up to m = 3.
+  const std::vector<int> four = {5, 6, 7, 8, 8, 7, 6, 5, 5, 6, 7, 8};
+  EXPECT_TRUE(takes_rank_buckets(flat_instance(1, four)));
+  EXPECT_TRUE(takes_rank_buckets(flat_instance(3, four)));
+  EXPECT_FALSE(takes_rank_buckets(flat_instance(4, four)));
+  // One more distinct threshold: 3 · 5 > 12.
+  std::vector<int> five = four;
+  five[0] = 9;
+  EXPECT_FALSE(takes_rank_buckets(flat_instance(3, five)));
+  EXPECT_TRUE(takes_rank_buckets(flat_instance(2, five)));
+  // Thresholds that depend on the resource never take rank buckets, even
+  // far inside the guard.
+  std::vector<double> requirements(12, 1.0 / 6.0);
+  EXPECT_FALSE(takes_rank_buckets(
+      Instance(std::vector<double>{1.0, 2.0}, requirements)));
+  Xoshiro256 rng(35);
+  EXPECT_FALSE(takes_rank_buckets(make_zipf_rates(512, 4, 0.1, 1.2, rng)));
+  EXPECT_FALSE(takes_rank_buckets(
+      make_clustered_bipartite(512, 4, /*clusters=*/2, /*extra=*/1, 0.1, rng)));
+  // Nor does the weighted model.
+  const WeightedInstance weighted(std::vector<double>{1.0},
+                                  std::vector<double>(12, 1.0 / 6.0),
+                                  std::vector<std::uint32_t>(12, 1));
+  WeightedState weighted_state = WeightedState::round_robin(weighted);
+  weighted_state.enable_satisfaction_tracking();
+  EXPECT_FALSE(weighted_state.rank_buckets());
+  // The perfbench flood-dense shape (n = 5e4, m = 50, ~528 thresholds)
+  // takes rank buckets.
+  EXPECT_TRUE(takes_rank_buckets(
+      make_uniform_feasible(50000, 50, 0.05, 1.5, rng)));
+}
+
+TEST(IndexLayout, ZeroThresholdsAndTheTopOfTheRangeFlipLikeAnyOther) {
+  // Threshold 0 (never satisfiable) and threshold n (satisfied at any
+  // load) sit at the two ends of the rank table; loads sweep past both.
+  // D = {0, 1, 3, 8} over 8 users and 2 resources: m·|D| = n.
+  const std::vector<int> thresholds = {1, 8, 8, 3, 1, 8, 1, 3};
+  std::vector<double> requirements;
+  for (const int t : thresholds)
+    requirements.push_back(1.0 / static_cast<double>(t));
+  requirements[4] = 2.0;  // ⌊1 / 2⌋ = 0
+  const Instance instance = Instance::identical(2, 1.0, requirements);
+  ASSERT_EQ(instance.threshold(4, 0), 0);
+  ASSERT_EQ(instance.threshold(1, 0), 8);
+  State state = State::all_on(instance, 0);
+  state.enable_satisfaction_tracking();
+  ASSERT_TRUE(state.rank_buckets());
+  ASSERT_EQ(index_mismatch(state), "");
+  for (UserId u = 0; u < state.num_users(); ++u) {
+    state.move(u, 1);
+    ASSERT_EQ(index_mismatch(state), "") << "after moving user " << u;
+  }
+  for (UserId u = 0; u < state.num_users(); u += 2) {
+    state.move(u, 0);
+    ASSERT_EQ(index_mismatch(state), "")
+        << "after moving user " << u << " back";
+  }
   state.check_invariants();
 }
 
@@ -303,11 +400,31 @@ TEST(ResidentMinProperty, SkipsBucketsEmptiedAboveTheLoad) {
 }
 
 TEST(ResidentMinProperty, UniformRatesMatchRecompute) {
-  for (const std::uint64_t seed : {3u, 17u}) {
+  // Flat thresholds within the m·|D| ≤ n guard: rank buckets, from a random
+  // start and from all users on one resource.
+  for (const std::uint64_t seed : {3u, 17u, 36u}) {
     Xoshiro256 rng(seed);
     const Instance instance = make_uniform_feasible(512, 32, 0.1, 1.5, rng);
-    State state = State::random(instance, rng);
-    check_resident_minima(state, rng);
+    State state = seed == 36 ? State::all_on(instance, 0)
+                             : State::random(instance, rng);
+    state.enable_satisfaction_tracking();
+    ASSERT_TRUE(state.rank_buckets());
+    check_move_by_move(state, rng);
+  }
+}
+
+TEST(ResidentMinProperty, FlatPastTheRankGuardMatchesRecompute) {
+  // Flat thresholds, but m·|D| > n (64 resources, up to 11 distinct
+  // thresholds, 256 users): sorted per-resource buckets.
+  for (const std::uint64_t seed : {33u, 34u}) {
+    Xoshiro256 rng(seed);
+    const Instance instance = make_uniform_feasible(256, 64, 0.1, 3.0, rng);
+    ASSERT_TRUE(instance.flat_thresholds_available());
+    State state = seed == 34 ? State::all_on(instance, 0)
+                             : State::random(instance, rng);
+    state.enable_satisfaction_tracking();
+    ASSERT_FALSE(state.rank_buckets());
+    check_move_by_move(state, rng);
   }
 }
 
@@ -316,7 +433,7 @@ TEST(ResidentMinProperty, ZipfRatesMatchRecompute) {
     Xoshiro256 rng(seed);
     const Instance instance = make_zipf_rates(512, 32, 0.1, 1.2, rng);
     State state = State::random(instance, rng);
-    check_resident_minima(state, rng);
+    check_move_by_move(state, rng);
   }
 }
 
@@ -326,7 +443,7 @@ TEST(ResidentMinProperty, ClusteredBipartiteMatchesRecompute) {
     const Instance instance = make_clustered_bipartite(
         512, 32, /*clusters=*/4, /*extra=*/2, 0.1, rng);
     State state = State::random(instance, rng);
-    check_resident_minima(state, rng);
+    check_move_by_move(state, rng);
   }
 }
 

@@ -49,6 +49,28 @@ TEST(Cli, NegativeCountFlagsFailNamingTheFlag) {
   }
 }
 
+// qoslb-chaos reads its --threads list through ArgParser::get_count_list,
+// so a bad entry names the flag (it printed a bare "bad integer in list").
+// It refuses before writing anything, and exits 2 on every error.
+TEST(Cli, ChaosThreadListNamesTheFlag) {
+  const struct {
+    std::string flags;
+    std::string message;
+  } cases[] = {
+      {"--threads=abc",
+       "qoslb-chaos: --threads expects a comma-separated list of integers, "
+       "got 'abc'"},
+      {"--threads=1,-2",
+       "qoslb-chaos: --threads entries must be non-negative, got -2"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_binary(QOSLB_CHAOS_PATH, c.flags);
+    EXPECT_EQ(run.status, 2) << c.flags << '\n' << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos)
+        << c.flags << '\n' << run.output;
+  }
+}
+
 // The benches read every count flag through ArgParser::get_count, and
 // report a bad flag instead of aborting.
 TEST(BenchCli, NegativeCountFlagsFailNamingTheFlag) {
@@ -61,6 +83,35 @@ TEST(BenchCli, NegativeCountFlagsFailNamingTheFlag) {
       {QOSLB_E13_PATH, "--m=-1", "e13_weighted: --m must be non-negative, got -1"},
       {QOSLB_E22_PATH, "--n=-1",
        "e22_active_set: --n must be non-negative, got -1"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_binary(c.binary, c.flags);
+    EXPECT_EQ(run.status, 1) << c.binary << ' ' << c.flags << '\n' << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos)
+        << c.binary << ' ' << c.flags << '\n' << run.output;
+  }
+}
+
+// A malformed or out-of-range number, and e1's zero load factor (a
+// divisor), exit 1 naming the flag: no bare "stoll", no abort on an
+// escaped std::out_of_range (exit 134) and no SIGFPE (exit 136).
+TEST(BenchCli, BadNumbersFailNamingTheFlag) {
+  const struct {
+    const char* binary;
+    std::string flags;
+    std::string message;
+  } cases[] = {
+      {QOSLB_E13_PATH, "--n=abc",
+       "e13_weighted: --n expects an integer, got 'abc'"},
+      {QOSLB_E13_PATH, "--n=99999999999999999999999",
+       "e13_weighted: --n is out of range, got '99999999999999999999999'"},
+      {QOSLB_E13_PATH, "--slack=1e999",
+       "e13_weighted: --slack is out of range, got '1e999'"},
+      {QOSLB_E1_PATH, "--sizes=abc",
+       "e1_convergence_n: --sizes expects a comma-separated list of "
+       "integers, got 'abc'"},
+      {QOSLB_E1_PATH, "--load-factor=0 --sizes=256 --reps=1",
+       "e1_convergence_n: --load-factor must be positive, got 0"},
   };
   for (const auto& c : cases) {
     const CliRun run = run_binary(c.binary, c.flags);

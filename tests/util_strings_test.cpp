@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace qoslb {
 namespace {
@@ -86,6 +87,22 @@ TEST(ParseIntList, SkipsEmptyEntries) {
 
 TEST(ParseIntList, RejectsGarbage) {
   EXPECT_THROW(parse_int_list("1,2x,3"), std::invalid_argument);
+}
+
+TEST(ParseIntList, RejectsNonNumbersAndOutOfRangeAsInvalidArgument) {
+  // std::stoll's own errors (std::invalid_argument "stoll",
+  // std::out_of_range) must not escape: every bad entry is named.
+  for (const char* bad : {"abc", "1,abc", "99999999999999999999999", "-",
+                          "1,-99999999999999999999999"}) {
+    try {
+      parse_int_list(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("bad integer in list"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

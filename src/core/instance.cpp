@@ -12,6 +12,15 @@ namespace {
 // s/q infinitesimally below the intended integer.
 constexpr double kFloorEpsilon = 1e-9;
 
+/// ⌊ratio⌋ with the tolerance above, clamped at n. Every ratio is
+/// positive, so the conversion's truncation is the floor, without a call
+/// into libm.
+int floored_threshold(double ratio, std::size_t n) {
+  const double shifted = ratio + kFloorEpsilon;
+  const double cap = static_cast<double>(n);
+  return static_cast<int>(shifted < cap ? shifted : cap);
+}
+
 }  // namespace
 
 Instance::Instance(std::vector<double> capacities, std::vector<double> requirements)
@@ -43,13 +52,19 @@ Instance::Instance(std::vector<double> capacities,
     // threshold(u, r) does not depend on r: precompute the per-user table
     // with the exact arithmetic of threshold() so lookups are bit-identical.
     flat_thresholds_.reserve(requirements_.size());
-    const double cap = static_cast<double>(num_users());
-    for (const double inv_q : inv_requirements_) {
-      const double floored =
-          std::floor(capacities_.front() * inv_q + kFloorEpsilon);
-      flat_thresholds_.push_back(static_cast<int>(std::min(floored, cap)));
-    }
+    for (const double inv_q : inv_requirements_)
+      flat_thresholds_.push_back(
+          floored_threshold(capacities_.front() * inv_q, num_users()));
   }
+  // One threshold per reachable edge, aligned with reachable(u), by the same
+  // arithmetic as threshold(); each rate is read by its edge index, never
+  // searched for.
+  edge_thresholds_.resize(rates_.num_edges());
+  int* slot = edge_thresholds_.data();
+  rates_.for_each_edge([&](UserId u, ResourceId r, double rate) {
+    *slot++ = floored_threshold(capacities_[r] * inv_requirements_[u] * rate,
+                                num_users());
+  });
 }
 
 Instance Instance::identical(std::size_t m_resources, double capacity,
@@ -78,19 +93,14 @@ double Instance::quality(UserId u, ResourceId r, int load) const {
   return rates_.rate(u, r) * capacity(r) / static_cast<double>(load);
 }
 
-int Instance::threshold(UserId u, ResourceId r) const {
-  QOSLB_REQUIRE(u < requirements_.size(), "user out of range");
-  QOSLB_REQUIRE(r < capacities_.size(), "resource out of range");
-  if (!flat_thresholds_.empty()) return flat_thresholds_[u];
+int Instance::computed_threshold(UserId u, ResourceId r) const {
   double ratio = capacities_[r] * inv_requirements_[u];
   if (!rates_.is_uniform()) {
     const double rate = rates_.rate(u, r);
     if (rate == 0.0) return 0;
     ratio *= rate;
   }
-  const double floored = std::floor(ratio + kFloorEpsilon);
-  const double cap = static_cast<double>(num_users());
-  return static_cast<int>(std::min(floored, cap));
+  return floored_threshold(ratio, num_users());
 }
 
 }  // namespace qoslb

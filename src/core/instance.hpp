@@ -62,8 +62,30 @@ class Instance {
   /// Maximum occupancy of `r` at which user `u` is still satisfied; 0 means
   /// `u` can never be satisfied on `r` (in particular for every unreachable
   /// pair). Clamped to num_users() (occupancy can never exceed n, so larger
-  /// thresholds are indistinguishable).
-  int threshold(UserId u, ResourceId r) const;
+  /// thresholds are indistinguishable). One load from the flat table when
+  /// flat_thresholds_available(); under a bipartite model one binary search
+  /// of u's row, which also decides reachability, then that edge's slot of
+  /// the edge table; otherwise (varied capacities, a rate matrix) the O(1)
+  /// formula.
+  int threshold(UserId u, ResourceId r) const {
+    QOSLB_REQUIRE(u < requirements_.size(), "user out of range");
+    QOSLB_REQUIRE(r < capacities_.size(), "resource out of range");
+    if (!flat_thresholds_.empty()) return flat_thresholds_[u];
+    if (rates_.kind() == RateModelKind::kBipartite) {
+      const std::uint64_t e = rates_.find_edge(u, r);
+      return e == RateModel::kNoEdge ? 0 : edge_thresholds_[e];
+    }
+    return computed_threshold(u, r);
+  }
+
+  /// u's threshold on each resource of reachable(u), entry by entry: the
+  /// row of the edge table, which holds one threshold per edge whenever the
+  /// rate model has reachable sets (bipartite, or a matrix with a zero).
+  /// A restricted probe reads the threshold of the edge it drew here.
+  std::span<const int> reachable_thresholds(UserId u) const {
+    const std::size_t degree = rates_.reachable(u).size();
+    return {edge_thresholds_.data() + rates_.row_begin(u), degree};
+  }
 
   /// True when threshold(u, r) is independent of r (identical capacities and
   /// uniform rates — the paper's base model); the values are then the
@@ -97,8 +119,12 @@ class Instance {
   std::vector<double> requirements_;
   std::vector<double> inv_requirements_;  // 1/q_u, precomputed for threshold()
   std::vector<int> flat_thresholds_;      // threshold(u, ·) when r-independent
+  std::vector<int> edge_thresholds_;      // threshold of each reachable edge
   RateModel rates_;
   bool identical_ = true;
+
+  /// threshold(u, r) by the formula; `u` and `r` are in range.
+  int computed_threshold(UserId u, ResourceId r) const;
 };
 
 }  // namespace qoslb

@@ -26,15 +26,19 @@ void AdmissionControl::step_users(const State& state,
                        [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
     ResourceId best = kNoResource;
+    int best_threshold = 0;
     double best_quality = 0.0;
     for (int probe = 0; probe < probes_; ++probe) {
-      const ResourceId r = sample_reachable(state, u, rng);
+      const auto [r, threshold] = sample_reachable(state, u, rng);
       ++counters.probes;
       if (r == kNoResource || r == current) continue;
-      if (snapshot[r] + 1 > instance.threshold(u, r)) continue;
-      const double quality = instance.quality(u, r, snapshot[r] + 1);
+      if (snapshot[r] + 1 > threshold) continue;
+      // Quality only ranks one probe against another.
+      const double quality =
+          probes_ == 1 ? 0.0 : instance.quality(u, r, snapshot[r] + 1);
       if (best == kNoResource || quality > best_quality) {
         best = r;
+        best_threshold = threshold;
         best_quality = quality;
       }
     }
@@ -43,8 +47,7 @@ void AdmissionControl::step_users(const State& state,
     // granted is resolved by the engine after the admission commit.
     if (out.decisions != nullptr && out.decisions->sampled(u))
       out.decisions->records.push_back(DecisionRecord{
-          u, current, best, best,
-          best != kNoResource ? instance.threshold(u, best) : 0, false});
+          u, current, best, best, best_threshold, false});
   });
 }
 

@@ -22,7 +22,7 @@ void BerenbrinkBalancing::step_users(const State& state,
   for_each_acting_user(*this, state, snapshot, users, count, streams,
                        [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
-    const ResourceId r = sample_reachable(state, u, rng);
+    const auto [r, threshold] = sample_reachable(state, u, rng);
     ++counters.probes;
     // Normalized (capacity-relative) loads handle related resources; for
     // identical capacities this reduces to the original integer rule.
@@ -43,7 +43,7 @@ void BerenbrinkBalancing::step_users(const State& state,
     if (out.decisions != nullptr && out.decisions->sampled(u))
       out.decisions->records.push_back(DecisionRecord{
           u, current, probe, requested ? probe : kNoResource,
-          probe != kNoResource ? instance.threshold(u, probe) : 0,
+          probe != kNoResource ? threshold : 0,
           snapshot[current] <= thresholds[u]});
   });
 }

@@ -12,25 +12,36 @@
 
 namespace qoslb {
 
-/// Draws one probe target for user `u`. Unrestricted instances keep the
-/// historical whole-live-list draw bit-for-bit; restricted ones draw from
-/// u's reachable set instead. A restricted draw that lands on a dead
-/// resource returns kNoResource — a failed probe, mirroring the nbr-*
-/// dead-neighbor idiom — so u's stream position advances identically
-/// whether or not churn killed anything. Every sampling protocol whose
-/// kTraits set `restricted` must draw through this helper;
+/// One probe: the drawn resource and the prober's threshold on it
+/// (kNoResource and 0 for a failed probe).
+struct Probe {
+  ResourceId resource = kNoResource;
+  int threshold = 0;
+};
+
+/// Draws one probe target for user `u` and returns it with
+/// threshold(u, target). Unrestricted instances keep the historical
+/// whole-live-list draw bit-for-bit and look the threshold up; restricted
+/// ones draw an entry of u's reachable set instead and read the threshold
+/// from the same entry of reachable_thresholds(u), with no search. A
+/// restricted draw that lands on a dead resource is a failed probe,
+/// mirroring the nbr-* dead-neighbor idiom, so u's stream position advances
+/// identically whether or not churn killed anything. Every sampling
+/// protocol whose kTraits set `restricted` must draw through this helper;
 /// tests/core_rate_model_test.cpp checks it for every restricted kind.
 template <typename Rng>
-ResourceId sample_reachable(const State& state, UserId u, Rng& rng) {
+Probe sample_reachable(const State& state, UserId u, Rng& rng) {
   const Instance& instance = state.instance();
   if (!instance.restricted()) {
     const auto& live = state.live_resources();
-    return live[uniform_u64_below(rng, live.size())];
+    const ResourceId r = live[uniform_u64_below(rng, live.size())];
+    return {r, instance.threshold(u, r)};
   }
   const auto reach = instance.reachable(u);
-  const auto r = static_cast<ResourceId>(
-      reach[uniform_u64_below(rng, reach.size())]);
-  return state.resource_live(r) ? r : kNoResource;
+  const std::size_t k = uniform_u64_below(rng, reach.size());
+  const ResourceId r = reach[k];
+  if (!state.resource_live(r)) return {};
+  return {r, instance.reachable_thresholds(u)[k]};
 }
 
 /// True iff `r` is a valid migration target for `u`: live, and reachable

@@ -36,15 +36,19 @@ void UniformSampling::step_users(const State& state,
                        [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
     ResourceId best = kNoResource;
+    int best_threshold = 0;
     double best_quality = 0.0;
     for (int probe = 0; probe < probes_; ++probe) {
-      const ResourceId r = sample_reachable(state, u, rng);
+      const auto [r, threshold] = sample_reachable(state, u, rng);
       ++counters.probes;
       if (r == kNoResource || r == current) continue;
-      if (snapshot[r] + 1 > instance.threshold(u, r)) continue;
-      const double quality = instance.quality(u, r, snapshot[r] + 1);
+      if (snapshot[r] + 1 > threshold) continue;
+      // Quality only ranks one probe against another.
+      const double quality =
+          probes_ == 1 ? 0.0 : instance.quality(u, r, snapshot[r] + 1);
       if (best == kNoResource || quality > best_quality) {
         best = r;
+        best_threshold = threshold;
         best_quality = quality;
       }
     }
@@ -54,8 +58,8 @@ void UniformSampling::step_users(const State& state,
     // cannot shift the stream (prefilter survivors are unsatisfied).
     if (out.decisions != nullptr && out.decisions->sampled(u))
       out.decisions->records.push_back(DecisionRecord{
-          u, current, best, requested ? best : kNoResource,
-          best != kNoResource ? instance.threshold(u, best) : 0, false});
+          u, current, best, requested ? best : kNoResource, best_threshold,
+          false});
   });
 }
 

@@ -139,19 +139,8 @@ double RateModel::rate_slow(UserId u, ResourceId r) const {
   QOSLB_REQUIRE(u < num_users_, "user out of range");
   QOSLB_REQUIRE(r < num_resources_, "resource out of range");
   if (kind_ == RateModelKind::kMatrix) return matrix_[u * num_resources_ + r];
-  const auto begin = targets_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]);
-  const auto end = targets_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]);
-  const auto it = std::lower_bound(begin, end, r);
-  if (it == end || *it != r) return 0.0;
-  return edge_rates_[static_cast<std::size_t>(it - targets_.begin())];
-}
-
-std::span<const ResourceId> RateModel::reachable(UserId u) const {
-  QOSLB_REQUIRE(!offsets_.empty(),
-                "reachable() is only materialized for restricted (or "
-                "bipartite) models");
-  QOSLB_REQUIRE(u < num_users_, "user out of range");
-  return {targets_.data() + offsets_[u], targets_.data() + offsets_[u + 1]};
+  const std::uint64_t e = find_edge(u, r);
+  return e == kNoEdge ? 0.0 : edge_rates_[e];
 }
 
 const std::vector<double>& RateModel::matrix_rates() const {

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/types.hpp"
+#include "util/check.hpp"
 
 namespace qoslb {
 
@@ -83,8 +85,45 @@ class RateModel {
 
   /// The resources user `u` can use, ascending. Available for bipartite
   /// and restricted matrix models — for the others the answer is "all of
-  /// them" and no adjacency is materialized.
-  std::span<const ResourceId> reachable(UserId u) const;
+  /// them" and no adjacency is materialized. The reachable sets are rows of
+  /// one CSR array, whose entries the accessors below call edges.
+  std::span<const ResourceId> reachable(UserId u) const {
+    QOSLB_REQUIRE(!offsets_.empty(),
+                  "reachable() is only materialized for restricted (or "
+                  "bipartite) models");
+    QOSLB_REQUIRE(u < num_users_, "user out of range");
+    return {targets_.data() + offsets_[u], targets_.data() + offsets_[u + 1]};
+  }
+
+  /// The edge index of reachable(u)'s first entry: entry k of reachable(u)
+  /// is edge row_begin(u) + k. Requires reachable sets and u < n.
+  std::uint64_t row_begin(UserId u) const { return offsets_[u]; }
+
+  /// The number of edges (0 without reachable sets).
+  std::size_t num_edges() const { return targets_.size(); }
+
+  /// The edge index of (u, r), found by one binary search of u's row, or
+  /// kNoEdge when u cannot use r. Requires reachable sets and u < n.
+  static constexpr std::uint64_t kNoEdge = ~std::uint64_t{0};
+  std::uint64_t find_edge(UserId u, ResourceId r) const {
+    const ResourceId* const begin = targets_.data() + offsets_[u];
+    const ResourceId* const end = targets_.data() + offsets_[u + 1];
+    const ResourceId* const it = std::lower_bound(begin, end, r);
+    if (it == end || *it != r) return kNoEdge;
+    return static_cast<std::uint64_t>(it - targets_.data());
+  }
+
+  /// Calls fn(u, r, rate) once per edge, in edge order (users ascending,
+  /// each row's resources ascending), reading every rate by its index.
+  template <typename Fn>
+  void for_each_edge(Fn&& fn) const {
+    const bool matrix = kind_ == RateModelKind::kMatrix;
+    for (UserId u = 0; u + 1 < offsets_.size(); ++u)
+      for (std::uint64_t e = offsets_[u]; e < offsets_[u + 1]; ++e) {
+        const ResourceId r = targets_[e];
+        fn(u, r, matrix ? matrix_[u * num_resources_ + r] : edge_rates_[e]);
+      }
+  }
 
   // --- serialization accessors (snapshot / instance-io writers) ---
   /// kMatrix only: the n×m row-major rate values.

@@ -136,13 +136,16 @@ void BasicState<Model>::move(UserId u, ResourceId r) {
   QOSLB_REQUIRE(r < loads_.size(), "resource out of range");
   const ResourceId old = assignment_[u];
   if (old == r) return;
-  QOSLB_REQUIRE(!instance_->restricted() || instance_->rate(u, r) > 0.0,
+  const Load threshold = instance_->threshold(u, r);
+  // Every unreachable pair has threshold 0, so only a 0 needs the lookup.
+  QOSLB_REQUIRE(threshold > 0 || !instance_->restricted() ||
+                    instance_->rate(u, r) > 0.0,
                 "move to an unreachable resource");
   const Load weight = instance_->weight(u);
   loads_[old] -= weight;
   loads_[r] += weight;
   assignment_[u] = r;
-  current_thresholds_[u] = instance_->threshold(u, r);
+  current_thresholds_[u] = threshold;
   if (index_)
     index_->on_move(u, old, r, current_thresholds_[u], loads_[old], loads_[r],
                     /*delta=*/weight);

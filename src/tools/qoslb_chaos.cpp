@@ -50,6 +50,7 @@
 #include "core/protocols/registry.hpp"
 #include "core/snapshot.hpp"
 #include "net/generators.hpp"
+#include "tools/list_specs.hpp"
 #include "util/args.hpp"
 #include "util/strings.hpp"
 
@@ -85,37 +86,6 @@ std::vector<ChaosKind> parse_protocols(const std::string& spec) {
   }
   if (out.empty()) throw std::invalid_argument("--protocols selected nothing");
   return out;
-}
-
-std::vector<std::uint64_t> parse_rounds_csv(const std::string& spec,
-                                            const char* flag) {
-  std::vector<std::uint64_t> out;
-  for (const std::string& item : split(spec, ',')) {
-    if (item.empty()) continue;
-    out.push_back(static_cast<std::uint64_t>(std::stoull(item)));
-  }
-  for (std::size_t i = 1; i < out.size(); ++i)
-    if (out[i] <= out[i - 1])
-      throw std::invalid_argument(std::string(flag) +
-                                  " rounds must be strictly increasing");
-  return out;
-}
-
-/// Parses "R:ROUND,R:ROUND,..." into (resource, round) churn entries.
-void parse_churn_csv(const std::string& spec, ChurnKind kind,
-                     std::vector<ChurnEvent>& events) {
-  for (const std::string& item : split(spec, ',')) {
-    if (item.empty()) continue;
-    const std::vector<std::string> parts = split(item, ':');
-    if (parts.size() != 2)
-      throw std::invalid_argument("churn entry expects R:ROUND, got '" + item +
-                                  "'");
-    ChurnEvent event;
-    event.resource = static_cast<ResourceId>(std::stoul(parts[0]));
-    event.round = static_cast<std::uint64_t>(std::stoull(parts[1]));
-    event.kind = kind;
-    events.push_back(event);
-  }
 }
 
 EngineMode parse_mode(const std::string& name) {
@@ -171,7 +141,7 @@ int run_chaos(ArgParser& args) {
   const auto shard_size =
       static_cast<std::size_t>(args.get_count("shard-size", 256));
   const std::vector<std::uint64_t> kill_rounds =
-      parse_rounds_csv(args.get_string("kill", "1,5,25"), "--kill");
+      parse_kill_spec(args.get_string("kill", "1,5,25"));
   const std::string fail_spec = args.get_string("fail", "");
   const std::string recover_spec = args.get_string("recover", "");
   const auto check_every =
@@ -188,19 +158,7 @@ int run_chaos(ArgParser& args) {
   if (kill_rounds.empty())
     throw std::invalid_argument("--kill must name at least one round");
 
-  // Churn plan: merge the fail/recover entries in round order (stable, so
-  // same-round fails apply before recoveries, matching list-order replay).
-  ChurnPlan plan;
-  std::vector<ChurnEvent> fails, recovers;
-  parse_churn_csv(fail_spec, ChurnKind::kFail, fails);
-  parse_churn_csv(recover_spec, ChurnKind::kRecover, recovers);
-  std::size_t fi = 0, ri = 0;
-  while (fi < fails.size() || ri < recovers.size()) {
-    const bool take_fail =
-        ri >= recovers.size() ||
-        (fi < fails.size() && fails[fi].round <= recovers[ri].round);
-    plan.events.push_back(take_fail ? fails[fi++] : recovers[ri++]);
-  }
+  const ChurnPlan plan = parse_churn_specs(fail_spec, recover_spec);
   plan.validate(m);
 
   std::vector<std::size_t> thread_counts;

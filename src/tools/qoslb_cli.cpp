@@ -73,10 +73,10 @@
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
 #include "obs/trace_sink.hpp"
+#include "tools/list_specs.hpp"
 #include "tools/report/report.hpp"
 #include "util/args.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace qoslb;
@@ -246,40 +246,6 @@ Instance build_instance(const std::string& family, const RateModelOptions& rates
                               "' (uniform|matrix|bipartite)");
 }
 
-/// Parses --fail/--recover "R:ROUND,..." specs into one round-ordered churn
-/// plan (same-round failures apply before recoveries).
-ChurnPlan parse_churn(const std::string& fail_spec,
-                      const std::string& recover_spec) {
-  const auto parse = [](const std::string& spec, ChurnKind kind) {
-    std::vector<ChurnEvent> events;
-    for (const std::string& item : split(spec, ',')) {
-      if (item.empty()) continue;
-      const std::vector<std::string> parts = split(item, ':');
-      if (parts.size() != 2)
-        throw std::invalid_argument("churn entry expects R:ROUND, got '" +
-                                    item + "'");
-      ChurnEvent event;
-      event.resource = static_cast<ResourceId>(std::stoul(parts[0]));
-      event.round = static_cast<std::uint64_t>(std::stoull(parts[1]));
-      event.kind = kind;
-      events.push_back(event);
-    }
-    return events;
-  };
-  const std::vector<ChurnEvent> fails = parse(fail_spec, ChurnKind::kFail);
-  const std::vector<ChurnEvent> recovers =
-      parse(recover_spec, ChurnKind::kRecover);
-  ChurnPlan plan;
-  std::size_t fi = 0, ri = 0;
-  while (fi < fails.size() || ri < recovers.size()) {
-    const bool take_fail =
-        ri >= recovers.size() ||
-        (fi < fails.size() && fails[fi].round <= recovers[ri].round);
-    plan.events.push_back(take_fail ? fails[fi++] : recovers[ri++]);
-  }
-  return plan;
-}
-
 State build_start(const std::string& start, const Instance& instance,
                   Xoshiro256& rng) {
   if (start == "all0" && instance.restricted())
@@ -308,8 +274,8 @@ int mode_run(ArgParser& args) {
   const auto max_rounds = args.get_count("max-rounds", 1 << 20);
   const auto threads = static_cast<std::size_t>(args.get_count("threads", 1));
   const std::string engine_mode = args.get_string("engine-mode", "dense");
-  const ChurnPlan churn = parse_churn(args.get_string("fail", ""),
-                                      args.get_string("recover", ""));
+  const ChurnPlan churn = parse_churn_specs(args.get_string("fail", ""),
+                                            args.get_string("recover", ""));
   const auto check_every =
       static_cast<std::uint32_t>(args.get_count("check-every", 0));
   const bool csv = args.get_flag("csv");
@@ -504,15 +470,8 @@ int mode_async(ArgParser& args) {
   if (drop != 0.0) config.faults.drop_all(drop);
   if (dup != 0.0) config.faults.dup_all(dup);
   if (heavy_tail != 0.0) config.faults.heavy_tail(heavy_tail);
-  for (const std::string& window : split(crash_spec, ',')) {
-    if (window.empty()) continue;
-    const std::vector<std::string> parts = split(window, ':');
-    if (parts.size() != 3)
-      throw std::invalid_argument("--crash expects R:T0:T1, got '" + window +
-                                  "'");
-    config.faults.crash(static_cast<AgentId>(std::stoul(parts[0])),
-                        std::stod(parts[1]), std::stod(parts[2]));
-  }
+  for (const CrashWindow& window : parse_crash_spec(crash_spec))
+    config.faults.crash(window.agent, window.t_crash, window.t_recover);
   // Async runs produce no trace rows; metrics and (virtual-time) phase
   // timers still apply.
   apply_telemetry(telemetry, config);

@@ -71,6 +71,49 @@ TEST(Cli, ChaosThreadListNamesTheFlag) {
   }
 }
 
+// The list specs (--kill, --fail, --recover, --crash) go through one strict
+// parser (tools/list_specs.hpp): each bad number names its flag and its
+// raw text. Before it, --kill=99999999999999999999999 printed a bare
+// "stoull", --fail=abc:3 "stoul" and --crash=1:abc:3 "stod"; --kill=2x
+// killed at round 2, --kill=-1 wrapped to 2^64-1 and exited 0, and
+// --fail=1x:3 failed resource 1. qoslb exits 1 and qoslb-chaos 2, as on
+// every other bad flag.
+TEST(Cli, ListSpecsNameTheFlagAndTheRawText) {
+  const std::string chaos = "--n=200 --m=8 --rounds=20 --threads=1 "
+                            "--modes=dense --protocols=uniform ";
+  const struct {
+    const char* binary;
+    std::string flags;
+    int status;
+    std::string message;
+  } cases[] = {
+      {QOSLB_CHAOS_PATH, chaos + "--kill=99999999999999999999999", 2,
+       "qoslb-chaos: --kill is out of range, got '99999999999999999999999'"},
+      {QOSLB_CHAOS_PATH, chaos + "--fail=abc:3", 2,
+       "qoslb-chaos: --fail expects a resource, got 'abc'"},
+      {QOSLB_CHAOS_PATH, chaos + "--kill=2x", 2,
+       "qoslb-chaos: --kill expects a round, got '2x'"},
+      {QOSLB_CHAOS_PATH, chaos + "--kill=-1", 2,
+       "qoslb-chaos: --kill expects a round, got '-1'"},
+      {QOSLB_CHAOS_PATH, chaos + "--recover=3:1:2", 2,
+       "qoslb-chaos: --recover expects R:ROUND, got '3:1:2'"},
+      {QOSLB_CLI_PATH, "--mode=async --n=50 --m=4 --crash=1:abc:3", 1,
+       "qoslb: --crash expects a time, got 'abc'"},
+      {QOSLB_CLI_PATH, "--mode=async --n=50 --m=4 --crash=1:1e999:3", 1,
+       "qoslb: --crash is out of range, got '1e999'"},
+      {QOSLB_CLI_PATH, "--mode=async --n=50 --m=4 --crash=+1:0:3", 1,
+       "qoslb: --crash expects an agent, got '+1'"},
+      {QOSLB_CLI_PATH, "--n=50 --m=4 --reps=1 --fail=1x:3", 1,
+       "qoslb: --fail expects a resource, got '1x'"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_binary(c.binary, c.flags);
+    EXPECT_EQ(run.status, c.status) << c.flags << '\n' << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos)
+        << c.flags << '\n' << run.output;
+  }
+}
+
 // The benches read every count flag through ArgParser::get_count, and
 // report a bad flag instead of aborting.
 TEST(BenchCli, NegativeCountFlagsFailNamingTheFlag) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -670,6 +671,14 @@ AsyncRunResult run_async(const Instance& instance, const EngineConfig& config,
   QOSLB_REQUIRE(config.initial_assignment.empty() ||
                     config.initial_assignment.size() == n,
                 "initial_assignment must have one entry per user");
+  // Agents are the m resources, then the n users (ids m .. m + n - 1). A
+  // window for any other id could never fire, yet it would still arm the
+  // loss-tolerant protocol.
+  for (const CrashWindow& window : config.faults.crashes)
+    QOSLB_REQUIRE(window.agent < m + n,
+                  "crash window for agent " + std::to_string(window.agent) +
+                      ", but the run has " + std::to_string(m + n) +
+                      " agents");
   const bool robust = config.force_timeouts || config.faults.any();
 
   AsyncRunResult result;

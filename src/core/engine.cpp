@@ -6,6 +6,7 @@
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "core/async/async_protocols.hpp"
 #include "core/potential.hpp"
@@ -21,12 +22,13 @@
 namespace qoslb {
 namespace {
 
-/// Exports the run's final counters, fault stats, state gauges, and phase
-/// timers into the attached MetricsRegistry (catalog in
-/// docs/observability.md). Called once per run, after the loop — never from
-/// the hot path.
+/// Exports the run's final counters, fault stats, state gauges (when a
+/// state is given, of either model), and phase timers into the attached
+/// MetricsRegistry (catalog in docs/observability.md). Called once per run,
+/// after the loop — never from the hot path.
+template <typename Model>
 void export_metrics(const obs::Telemetry& options, EngineResult& result,
-                    const State* state) {
+                    const BasicState<Model>* state) {
   if (options.metrics == nullptr) return;
   obs::MetricsRegistry& m = *options.metrics;
   const Counters& c = result.counters;
@@ -140,10 +142,13 @@ struct RoundDiagData {
 /// from the driving thread, strictly between rounds, and feeds nothing back
 /// — which is why sinks on/off cannot change the realization
 /// (tests/core_telemetry_test.cpp pins the assignment hashes).
+template <typename Model>
 class TelemetryDriver {
  public:
+  using StateT = BasicState<Model>;
+
   TelemetryDriver(const obs::Telemetry& options, EngineResult& result,
-                  const Protocol& protocol, const State& state,
+                  const BasicProtocol<Model>& protocol, const StateT& state,
                   std::uint64_t seed, std::size_t threads, const char* mode)
       : options_(options), result_(&result) {
     if (!options_.any()) return;
@@ -181,7 +186,7 @@ class TelemetryDriver {
   /// active-set-size histogram for executed rounds and emits the trace row,
   /// thinned by trace_every (round 0 and — via finish() — the final round
   /// are always kept).
-  void round_row(std::uint64_t round, const State& state,
+  void round_row(std::uint64_t round, const StateT& state,
                  std::uint64_t active_size) {
     if (round != 0 && active_hist_.valid())
       options_.metrics->observe(active_hist_,
@@ -204,7 +209,7 @@ class TelemetryDriver {
   /// resolving `to`/`granted`/`satisfied_after` against the committed state,
   /// which is what captures admission rejects — then emits the round's
   /// diagnostics row and runs the herding detector.
-  void decision_round(std::uint64_t round, const State& state,
+  void decision_round(std::uint64_t round, const StateT& state,
                       const std::vector<DecisionScratch>& shards,
                       const RoundDiagData& diag) {
     obs::ScopedPhase phase(options_.clock, timers(), obs::Phase::kTrace);
@@ -271,7 +276,7 @@ class TelemetryDriver {
   }
 
   /// Flushes a held-back final row, closes the sinks, exports the metrics.
-  void finish(const State& state) {
+  void finish(const StateT& state) {
     if (!options_.any()) return;
     if (options_.sink != nullptr) {
       if (pending_) emit(pending_round_, state, pending_active_);
@@ -282,7 +287,7 @@ class TelemetryDriver {
   }
 
  private:
-  void emit(std::uint64_t round, const State& state,
+  void emit(std::uint64_t round, const StateT& state,
             std::uint64_t active_size) {
     pending_ = false;
     obs::ScopedPhase phase(options_.clock, timers(), obs::Phase::kTrace);
@@ -314,10 +319,12 @@ class TelemetryDriver {
 /// counters; commit() merges both in shard order on the driving thread. So
 /// the outcome is independent of which worker executed which shard, and
 /// the per-user substreams make it independent of the partition too.
+template <typename Model>
 class ShardedRound {
  public:
-  ShardedRound(Protocol& protocol, State& state, Counters& counters,
-               std::size_t shard_size, RoundWorkerPool* pool)
+  ShardedRound(BasicProtocol<Model>& protocol, BasicState<Model>& state,
+               Counters& counters, std::size_t shard_size,
+               RoundWorkerPool* pool)
       : protocol_(&protocol), state_(&state), counters_(&counters),
         shard_size_(shard_size), pool_(pool) {}
 
@@ -416,12 +423,12 @@ class ShardedRound {
     ResourceId from;
   };
 
-  Protocol* protocol_;
-  State* state_;
+  BasicProtocol<Model>* protocol_;
+  BasicState<Model>* state_;
   Counters* counters_;
   std::size_t shard_size_;
   RoundWorkerPool* pool_;
-  std::vector<int> snapshot_;
+  std::vector<typename Model::Load> snapshot_;
   std::vector<MigrationBuffer> shards_;
   std::vector<Counters> shard_counters_;
   bool decisions_on_ = false;
@@ -463,11 +470,13 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
                 "snapshot_rounds without a snapshot_sink");
 }
 
-EngineResult Engine::run(Protocol& protocol, State& state,
-                         Xoshiro256& rng) const {
+template <typename Model>
+EngineResult Engine::run(BasicProtocol<Model>& protocol,
+                         BasicState<Model>& state, Xoshiro256& rng) const {
   // step() protocols can take neither churn nor checkpoints: some draw raw
-  // resource ids that may be dead (cached), and a checkpoint would have to
-  // carry the caller's Xoshiro256 state, which it does not.
+  // resource ids that may be dead (cached, the weighted ones), and a
+  // checkpoint would have to carry the caller's Xoshiro256 state, which it
+  // does not.
   QOSLB_REQUIRE(!config_.churn.any() || protocol.supports_step_users(),
                 "churn plans need a sharded (step_users) protocol");
   QOSLB_REQUIRE(config_.snapshot_rounds.empty() ||
@@ -506,7 +515,8 @@ namespace {
 /// perturb protocol draws.
 constexpr std::uint64_t kChurnSalt = 0xC0DEFA11ULL;
 
-void apply_churn_event(const ChurnEvent& event, State& state,
+template <typename Model>
+void apply_churn_event(const ChurnEvent& event, BasicState<Model>& state,
                        std::uint64_t master_seed, ChurnTracker& tracker) {
   if (event.kind == ChurnKind::kRecover) {
     state.set_resource_live(event.resource, true);
@@ -520,7 +530,7 @@ void apply_churn_event(const ChurnEvent& event, State& state,
   state.set_resource_live(event.resource, false);
   const auto& live = state.live_resources();
   const RoundRng streams(derive_seed(master_seed, kChurnSalt), event.round);
-  const Instance& instance = state.instance();
+  const Model& instance = state.instance();
   std::vector<ResourceId> candidates;
   for (const UserId u : victims) {
     PhiloxEngine rng = streams.user_stream(u);
@@ -545,7 +555,9 @@ void apply_churn_event(const ChurnEvent& event, State& state,
 
 }  // namespace
 
-EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
+template <typename Model>
+EngineResult Engine::drive(BasicProtocol<Model>& protocol,
+                           BasicState<Model>& state, Xoshiro256* rng,
                            std::uint64_t master_seed,
                            std::uint64_t start_round, Counters start_counters,
                            ChurnTracker tracker) const {
@@ -622,12 +634,16 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
   } else {
     for (std::uint64_t r = start_round; r < config_.max_rounds; ++r) {
       // Checkpoint at the boundary, before this round's churn and decisions
-      // — exactly the cut resume() restarts from.
-      if (snap_idx < config_.snapshot_rounds.size() &&
-          config_.snapshot_rounds[snap_idx] == r) {
-        ++snap_idx;
-        config_.snapshot_sink(capture_snapshot(protocol, state, master_seed,
-                                               r, result.counters, tracker));
+      // — exactly the cut resume() restarts from. Checkpoints are unit-only:
+      // run() rejects snapshot rounds for every step() protocol, and every
+      // weighted protocol is one.
+      if constexpr (std::is_same_v<Model, Instance>) {
+        if (snap_idx < config_.snapshot_rounds.size() &&
+            config_.snapshot_rounds[snap_idx] == r) {
+          ++snap_idx;
+          config_.snapshot_sink(capture_snapshot(
+              protocol, state, master_seed, r, result.counters, tracker));
+        }
       }
       while (churn_idx < events.size() && events[churn_idx].round == r) {
         apply_churn_event(events[churn_idx], state, master_seed, tracker);
@@ -676,11 +692,16 @@ EngineResult Engine::drive(Protocol& protocol, State& state, Xoshiro256* rng,
   result.termination =
       result.converged ? Termination::kConverged : Termination::kRoundCap;
   result.final_satisfied = state.count_satisfied();
+  result.final_satisfied_weight = state.satisfied_weight();
   result.all_satisfied = result.final_satisfied == n;
   result.churn = tracker.stats;
   telemetry.finish(state);
   return result;
 }
+
+template EngineResult Engine::run(Protocol&, State&, Xoshiro256&) const;
+template EngineResult Engine::run(WeightedProtocol&, WeightedState&,
+                                  Xoshiro256&) const;
 
 SnapshotV1 Engine::save_snapshot(Protocol& protocol, State& state,
                                  Xoshiro256& rng,
@@ -724,56 +745,9 @@ EngineResult Engine::resume(Protocol& protocol, const SnapshotV1& snapshot,
                snapshot.next_round, snapshot.counters, snapshot.churn);
 }
 
-EngineResult Engine::run(WeightedProtocol& protocol, WeightedState& state,
-                         Xoshiro256& rng) const {
-  // Weighted protocols step on the caller's RNG, so, like step() protocols
-  // on the State overload, they can take neither churn nor checkpoints.
-  QOSLB_REQUIRE(!config_.churn.any(), "weighted runs take no churn plan");
-  QOSLB_REQUIRE(config_.snapshot_rounds.empty(),
-                "weighted runs take no snapshot rounds");
-  // The weighted loop checks stability *before* each step (matching the
-  // historical run_weighted_protocol semantics exactly).
-  EngineResult result;
-  protocol.reset();
-  state.enable_satisfaction_tracking();
-  // Weighted runs fill metrics and phase timers; trace rows are a State
-  // concept and stay empty (docs/observability.md).
-  result.telemetry.enabled = config_.telemetry.any();
-  const obs::Clock* clock = config_.telemetry.clock;
-  obs::PhaseTimers* timers = &result.telemetry.phases;
-  for (std::uint64_t round = 0; round <= config_.max_rounds; ++round) {
-    const std::size_t satisfied = state.count_satisfied();
-    const bool check_now = round % config_.stability_check_period == 0;
-    if (satisfied == state.num_users() || check_now) {
-      obs::ScopedPhase phase(clock, timers, obs::Phase::kSatisfactionCheck);
-      if (protocol.is_stable(state)) {
-        result.converged = true;
-        break;
-      }
-    }
-    if (round == config_.max_rounds) break;
-    {
-      obs::ScopedPhase phase(clock, timers, obs::Phase::kStep);
-      protocol.step(state, rng, result.counters);
-    }
-    ++result.counters.rounds;
-    ++result.rounds;
-    if (config_.invariant_check_period != 0 &&
-        result.rounds % config_.invariant_check_period == 0)
-      state.check_invariants();
-  }
-  result.termination =
-      result.converged ? Termination::kConverged : Termination::kRoundCap;
-  result.final_satisfied = state.count_satisfied();
-  result.final_satisfied_weight = state.satisfied_weight();
-  result.all_satisfied = result.final_satisfied == state.num_users();
-  export_metrics(config_.telemetry, result, nullptr);
-  return result;
-}
-
 EngineResult Engine::run_async_admission(const Instance& instance) const {
   EngineResult result = from_async(::qoslb::run_async_admission(instance, config_));
-  export_metrics(config_.telemetry, result, nullptr);
+  export_metrics<Instance>(config_.telemetry, result, nullptr);
   return result;
 }
 
@@ -781,7 +755,7 @@ EngineResult Engine::run_async_optimistic(const Instance& instance,
                                           double lambda) const {
   EngineResult result =
       from_async(::qoslb::run_async_optimistic(instance, lambda, config_));
-  export_metrics(config_.telemetry, result, nullptr);
+  export_metrics<Instance>(config_.telemetry, result, nullptr);
   return result;
 }
 

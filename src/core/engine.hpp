@@ -8,15 +8,12 @@
 #include "core/protocol.hpp"
 #include "core/snapshot.hpp"
 #include "core/state.hpp"
-#include "core/weighted/weighted_state.hpp"
 #include "obs/telemetry.hpp"
 #include "core/accounting.hpp"
 #include "sim/faults.hpp"
 #include "util/backoff.hpp"
 
 namespace qoslb {
-
-class WeightedProtocol;
 
 /// Why a run stopped.
 enum class Termination : std::uint8_t {
@@ -124,7 +121,9 @@ struct EngineResult {
   bool converged = false;      // termination == kConverged or kQuiesced
   bool all_satisfied = false;  // every user satisfied at the end
   std::size_t final_satisfied = 0;
-  std::uint64_t final_satisfied_weight = 0;  // weighted runs only
+  /// Total weight of the satisfied users at the end (round-loop runs of
+  /// either model; final_satisfied in the unit model).
+  std::uint64_t final_satisfied_weight = 0;
   double virtual_time = 0.0;                 // async: time of the last event
   std::uint64_t events = 0;                  // async: deliveries executed
   std::size_t threads_used = 1;              // sharded runs: worker count
@@ -140,9 +139,9 @@ struct EngineResult {
 };
 
 /// The unified run facade: one configuration, one result, every execution
-/// substrate — the synchronous round loop every Protocol runs on, the
-/// weighted-model runner, and the asynchronous DES realizations. See
-/// docs/engine.md for the API migration table from the former entry points.
+/// substrate — the synchronous round loop every protocol of either load
+/// model runs on, and the asynchronous DES realizations. See docs/engine.md
+/// for the API migration table from the former entry points.
 class Engine {
  public:
   Engine() = default;
@@ -158,16 +157,12 @@ class Engine {
   /// deterministic in (config().seed, rng state) and bit-identical for
   /// every thread count and engine mode (dense vs. active, for
   /// active-set-compatible protocols). Every other protocol runs one
-  /// step() per round against `rng`, inline.
-  EngineResult run(Protocol& protocol, State& state, Xoshiro256& rng) const;
-
-  /// Weighted-model overload: the state/protocol kinds select the weighted
-  /// sequential path, so callers use one run() entry point for both models.
-  /// A weighted protocol steps on `rng` like a step() protocol: it honours
-  /// max_rounds, stability_check_period, invariant_check_period and the
-  /// metrics and clock of the telemetry, and rejects a churn plan and
-  /// snapshot rounds (docs/engine.md).
-  EngineResult run(WeightedProtocol& protocol, WeightedState& state,
+  /// step() per round against `rng`, inline, and rejects a churn plan and
+  /// snapshot rounds. Instantiated for both load models: Protocol on State
+  /// and WeightedProtocol on WeightedState share this one body and loop
+  /// (the weighted protocols are step() protocols).
+  template <typename Model>
+  EngineResult run(BasicProtocol<Model>& protocol, BasicState<Model>& state,
                    Xoshiro256& rng) const;
 
   /// Asynchronous (DES) admission protocol under this config's seed,
@@ -197,12 +192,15 @@ class Engine {
                       State& state) const;
 
  private:
-  /// The round loop behind run() and resume(). `rng` feeds step()
-  /// protocols and may be null for step_users() ones; `master_seed` keys
-  /// the latter's substreams and is what a checkpoint stores.
-  EngineResult drive(Protocol& protocol, State& state, Xoshiro256* rng,
-                     std::uint64_t master_seed, std::uint64_t start_round,
-                     Counters start_counters, ChurnTracker tracker) const;
+  /// The round loop behind run() and resume(), for either load model.
+  /// `rng` feeds step() protocols and may be null for step_users() ones;
+  /// `master_seed` keys the latter's substreams and is what a checkpoint
+  /// stores.
+  template <typename Model>
+  EngineResult drive(BasicProtocol<Model>& protocol, BasicState<Model>& state,
+                     Xoshiro256* rng, std::uint64_t master_seed,
+                     std::uint64_t start_round, Counters start_counters,
+                     ChurnTracker tracker) const;
 
   EngineConfig config_;
 };

@@ -2,18 +2,24 @@
 
 #include <algorithm>
 
+#include "core/weighted/weighted_state.hpp"
+
 namespace qoslb {
 
-double rosenthal_potential(const State& state) {
-  const Instance& instance = state.instance();
+template <typename Model>
+double rosenthal_potential(const BasicState<Model>& state) {
+  const Model& instance = state.instance();
   double total = 0.0;
   for (ResourceId r = 0; r < state.num_resources(); ++r) {
-    const int load = state.load(r);
+    const typename Model::Load load = state.load(r);
     // Σ_{k=1..load} k = load(load+1)/2.
     total += static_cast<double>(load) * (load + 1) / 2.0 / instance.capacity(r);
   }
   return total;
 }
+
+template double rosenthal_potential(const State&);
+template double rosenthal_potential(const WeightedState&);
 
 double quality_deficit(const State& state) {
   const Instance& instance = state.instance();

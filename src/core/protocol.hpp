@@ -100,7 +100,10 @@ struct ProtocolTraits {
   bool restricted = false;
 };
 
-/// A distributed (or sequential-baseline) QoS load-balancing dynamic.
+/// A distributed (or sequential-baseline) QoS load-balancing dynamic over
+/// either load model (`Model` as for BasicState): `Protocol` here, and
+/// `WeightedProtocol` in core/weighted/weighted_protocols.hpp. Engine::run
+/// drives both on one round loop.
 ///
 /// One synchronous round: every decision is taken against the loads observed
 /// at the round boundary, and all migrations are applied together — the
@@ -119,11 +122,13 @@ struct ProtocolTraits {
 /// Protocols implementing the pair declare ProtocolTraits::sharded and
 /// inherit a step() that runs decide+commit over the full user range — the
 /// classic single-threaded path. Sequential baselines (one move per step)
-/// override step() directly and leave the sharded hooks unimplemented.
-class Protocol {
+/// and the weighted protocols override step() directly and leave the
+/// sharded hooks unimplemented.
+template <typename Model>
+class BasicProtocol {
  public:
-  explicit Protocol(ProtocolTraits traits = {}) : traits_(traits) {}
-  virtual ~Protocol() = default;
+  explicit BasicProtocol(ProtocolTraits traits = {}) : traits_(traits) {}
+  virtual ~BasicProtocol() = default;
 
   virtual std::string name() const = 0;
 
@@ -136,7 +141,8 @@ class Protocol {
   /// default implementation routes through step_users()/commit_round() over
   /// the full user range, keying the round's substreams off one draw of
   /// `rng`, and requires supports_step_users().
-  virtual void step(State& state, Xoshiro256& rng, Counters& counters);
+  virtual void step(BasicState<Model>& state, Xoshiro256& rng,
+                    Counters& counters);
 
   /// Decides for `users[0..count)` against `load_snapshot` (the loads at
   /// the round boundary), appending wishes to `out`. Draw randomness for
@@ -146,8 +152,8 @@ class Protocol {
   /// `rng.user_stream(u)` would. Tally into `counters` (the shard's private
   /// tally). Const in both the protocol and the state: it runs concurrently
   /// with other shards of the same round.
-  virtual void step_users(const State& state,
-                          const std::vector<int>& load_snapshot,
+  virtual void step_users(const BasicState<Model>& state,
+                          const std::vector<typename Model::Load>& load_snapshot,
                           const UserId* users, std::size_t count,
                           MigrationBuffer& out, const RoundRng& rng,
                           Counters& counters) const;
@@ -155,13 +161,14 @@ class Protocol {
   /// Applies one round's shard buffers in shard order and rolls per-round
   /// protocol state forward. The default commit is optimistic: every request
   /// is executed (apply_all).
-  virtual void commit_round(State& state, std::vector<MigrationBuffer>& shards,
+  virtual void commit_round(BasicState<Model>& state,
+                            std::vector<MigrationBuffer>& shards,
                             Counters& counters);
 
   /// The stability notion this dynamic converges to. The default is the
   /// satisfaction equilibrium; the pure load-balancing baseline overrides
   /// with Nash stability of the balancing game.
-  virtual bool is_stable(const State& state) const {
+  virtual bool is_stable(const BasicState<Model>& state) const {
     return is_satisfaction_equilibrium(state);
   }
 
@@ -173,17 +180,21 @@ class Protocol {
   /// (core/snapshot.hpp) as `field <count>` blocks of the shared text codec
   /// (core/io/text_codec.hpp). The default writes nothing — correct for
   /// every protocol whose rounds are memoryless. Lint rule QL014 checks that
-  /// the two hooks name every persistent member.
-  virtual void snapshot_write(std::ostream& out) const;
+  /// the two hooks name every persistent member. Checkpoints exist for the
+  /// unit model only.
+  virtual void snapshot_write(std::ostream&) const {}
 
   /// Restores what snapshot_write() serialized. Must accept its own output
   /// verbatim and throw std::invalid_argument on malformed input.
-  virtual void snapshot_read(std::istream& in);
+  virtual void snapshot_read(std::istream&) {}
 
  private:
   // The class's kTraits, fixed at construction: restore rebuilds the
   // protocol through the registry, not from the snapshot payload.
   ProtocolTraits traits_;  // qoslb-snapshot: transient
 };
+
+/// The unit model's protocol base.
+using Protocol = BasicProtocol<Instance>;
 
 }  // namespace qoslb

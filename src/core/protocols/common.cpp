@@ -32,7 +32,9 @@ void merge_shard_requests(const std::vector<MigrationBuffer>& shards,
   }
 }
 
-void apply_all(State& state, const std::vector<MigrationRequest>& requests,
+template <typename Model>
+void apply_all(BasicState<Model>& state,
+               const std::vector<MigrationRequest>& requests,
                Counters& counters) {
   for (const MigrationRequest& req : requests) {
     state.move(req.user, req.target);
@@ -117,6 +119,10 @@ void apply_with_admission(BasicState<Model>& state,
   }
 }
 
+template void apply_all(State&, const std::vector<MigrationRequest>&,
+                        Counters&);
+template void apply_all(WeightedState&, const std::vector<MigrationRequest>&,
+                        Counters&);
 template void apply_with_admission(State&, const std::vector<MigrationRequest>&,
                                    Counters&);
 template void apply_with_admission(WeightedState&,

@@ -95,7 +95,11 @@ void merge_shard_requests(const std::vector<MigrationBuffer>& shards,
                           std::vector<MigrationRequest>& out);
 
 /// Applies optimistic (ungated) migrations; every request is executed.
-void apply_all(State& state, const std::vector<MigrationRequest>& requests,
+/// Takes either model's state; instantiated for both in
+/// core/protocols/common.cpp.
+template <typename Model>
+void apply_all(BasicState<Model>& state,
+               const std::vector<MigrationRequest>& requests,
                Counters& counters);
 
 /// Resource-gated admission (protocol P4/P5-admission of DESIGN.md): each

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <type_traits>
+
 #include "core/protocol.hpp"
 
 namespace qoslb {
@@ -8,7 +10,11 @@ namespace qoslb {
 /// moves to its best satisfying deviation (highest post-move quality).
 /// This is the classical centralized-scheduler dynamic the distributed
 /// protocols are measured against (E9); a step costs a full O(m) probe scan.
-class SequentialBestResponse : public Protocol {
+/// One body for both load models (`SequentialBestResponse` and
+/// `WeightedSequentialBestResponse`, named seq-br and w-seq-br); the member
+/// definitions are instantiated for both in sequential_best_response.cpp.
+template <typename Model>
+class BasicSequentialBestResponse : public BasicProtocol<Model> {
  public:
   enum class Order {
     kRandom,      // a uniformly random unsatisfied mover each step
@@ -19,14 +25,16 @@ class SequentialBestResponse : public Protocol {
   /// unreachable pair), so restricted instances need no sampling helper.
   static constexpr ProtocolTraits kTraits{.restricted = true};
 
-  explicit SequentialBestResponse(Order order = Order::kRandom)
-      : Protocol(kTraits), order_(order) {}
+  explicit BasicSequentialBestResponse(Order order = Order::kRandom)
+      : BasicProtocol<Model>(kTraits), order_(order) {}
 
   std::string name() const override {
-    return order_ == Order::kRandom ? "seq-br" : "seq-br-rr";
+    const std::string kind = order_ == Order::kRandom ? "seq-br" : "seq-br-rr";
+    return std::is_same_v<Model, Instance> ? kind : "w-" + kind;
   }
 
-  void step(State& state, Xoshiro256& rng, Counters& counters) override;
+  void step(BasicState<Model>& state, Xoshiro256& rng,
+            Counters& counters) override;
 
   void reset() override { cursor_ = 0; }
 
@@ -34,5 +42,7 @@ class SequentialBestResponse : public Protocol {
   Order order_;
   UserId cursor_ = 0;
 };
+
+using SequentialBestResponse = BasicSequentialBestResponse<Instance>;
 
 }  // namespace qoslb

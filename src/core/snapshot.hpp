@@ -7,13 +7,12 @@
 
 #include "core/churn_plan.hpp"
 #include "core/instance.hpp"
+#include "core/protocol.hpp"
 #include "core/state.hpp"
 #include "core/types.hpp"
 #include "core/accounting.hpp"
 
 namespace qoslb {
-
-class Protocol;
 
 /// Crash-consistent checkpoint of a sharded engine run, taken at a round
 /// boundary (docs/faults.md). The writer always emits the newest on-disk

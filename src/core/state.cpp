@@ -199,6 +199,8 @@ std::size_t BasicState<Model>::count_satisfied() const {
 
 template <typename Model>
 std::uint64_t BasicState<Model>::satisfied_weight() const {
+  // Every unit-model user weighs 1: O(1) with satisfaction tracking.
+  if constexpr (std::is_same_v<Model, Instance>) return count_satisfied();
   std::uint64_t total = 0;
   for (UserId u = 0; u < assignment_.size(); ++u)
     if (satisfied(u)) total += instance_->weight(u);

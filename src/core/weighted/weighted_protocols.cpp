@@ -59,21 +59,4 @@ void WeightedAdmissionControl::step(WeightedState& state, Xoshiro256& rng,
   apply_with_admission(state, collect_requests(state, rng, counters), counters);
 }
 
-void WeightedSequentialBestResponse::step(WeightedState& state, Xoshiro256& rng,
-                                          Counters& counters) {
-  std::vector<UserId> candidates = unsatisfied_users(state);
-  while (!candidates.empty()) {
-    const std::size_t idx = uniform_u64_below(rng, candidates.size());
-    counters.probes += state.num_resources();
-    const ResourceId best = best_satisfying_deviation(state, candidates[idx]);
-    if (best != kNoResource) {
-      state.move(candidates[idx], best);
-      ++counters.migrations;
-      return;
-    }
-    candidates[idx] = candidates.back();
-    candidates.pop_back();
-  }
-}
-
 }  // namespace qoslb

@@ -2,29 +2,22 @@
 
 #include <string>
 
-#include "core/engine.hpp"
-#include "core/satisfaction.hpp"
+#include "core/protocol.hpp"
+#include "core/protocols/sequential_best_response.hpp"
 #include "core/weighted/weighted_state.hpp"
 #include "rng/xoshiro256.hpp"
 #include "core/accounting.hpp"
 
 namespace qoslb {
 
-/// Weighted counterparts of the round protocols: one step() per round on a
-/// WeightedState. Only their decisions are their own — the satisfaction
-/// checks, the best-response scan and the admission gate are the unit
-/// model's, instantiated over weight loads (core/satisfaction.hpp,
-/// core/protocols/common.hpp).
-class WeightedProtocol {
- public:
-  virtual ~WeightedProtocol() = default;
-  virtual std::string name() const = 0;
-  virtual void step(WeightedState& state, Xoshiro256& rng, Counters& counters) = 0;
-  virtual bool is_stable(const WeightedState& state) const {
-    return is_satisfaction_equilibrium(state);
-  }
-  virtual void reset() {}
-};
+/// The weighted model's protocol base: BasicProtocol (core/protocol.hpp)
+/// over weight loads, driven by the same Engine::run round loop as the unit
+/// model's protocols. The weighted protocols step on the caller's RNG like
+/// seq-br, so they take neither churn plans nor checkpoints. Only their
+/// decisions are their own — the satisfaction checks, the best-response
+/// scan and the admission gate are the unit model's, instantiated over
+/// weight loads (core/satisfaction.hpp, core/protocols/common.hpp).
+using WeightedProtocol = BasicProtocol<WeightedInstance>;
 
 /// Optimistic λ-damped sampling (weighted P2).
 class WeightedUniformSampling : public WeightedProtocol {
@@ -43,18 +36,13 @@ class WeightedUniformSampling : public WeightedProtocol {
 /// satisfied residents under their thresholds.
 class WeightedAdmissionControl : public WeightedProtocol {
  public:
-  WeightedAdmissionControl() = default;
   std::string name() const override { return "w-admission"; }
   void step(WeightedState& state, Xoshiro256& rng, Counters& counters) override;
 };
 
 /// One random unsatisfied user per step moves to its best satisfying
-/// resource (weighted P1 baseline).
-class WeightedSequentialBestResponse : public WeightedProtocol {
- public:
-  WeightedSequentialBestResponse() = default;
-  std::string name() const override { return "w-seq-br"; }
-  void step(WeightedState& state, Xoshiro256& rng, Counters& counters) override;
-};
+/// resource (weighted P1 baseline): seq-br's body over weight loads.
+using WeightedSequentialBestResponse =
+    BasicSequentialBestResponse<WeightedInstance>;
 
 }  // namespace qoslb

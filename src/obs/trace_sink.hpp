@@ -14,7 +14,7 @@ struct TraceRunInfo {
   std::uint64_t resources = 0;
   std::uint64_t seed = 0;
   std::uint64_t threads = 1;
-  std::string mode;  // "dense" | "active" | "sequential" | "weighted"
+  std::string mode;  // "dense" | "active" | "sequential"
 };
 
 /// One per-round trace row — the structured successor of the legacy

@@ -23,8 +23,7 @@ const std::vector<RuleInfo>& rules() {
        "unkeyed randomness (rand, mt19937, random_device, shuffle, sample) "
        "outside src/rng/"},
       {"QL002",
-       "unordered_map/set iteration in determinism-critical files "
-       "(protocols, engine, satisfaction index)"},
+       "unordered_map/set iteration in src/core/ or src/sim/"},
       {"QL003",
        "wall-clock or environment reads (system_clock, time(), getenv) in "
        "src/core/ or src/sim/"},

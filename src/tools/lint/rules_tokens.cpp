@@ -55,14 +55,11 @@ void rule_ql001(const SourceFile& f, std::vector<Finding>& out) {
 // QL002 — unordered-container iteration in determinism-critical files
 // ---------------------------------------------------------------------------
 
-bool ql002_applies(const std::string& rel) {
-  return starts_with(rel, "src/core/protocols/") ||
-         rel == "src/core/engine.cpp" || rel == "src/core/engine.hpp" ||
-         rel == "src/core/satisfaction_index.hpp";
-}
-
 void rule_ql002(const SourceFile& f, std::vector<Finding>& out) {
-  if (!ql002_applies(f.rel)) return;
+  // Every protocol, loop and index under the simulation core decides or
+  // commits in iteration order — the same scope as QL003.
+  if (!starts_with(f.rel, "src/core/") && !starts_with(f.rel, "src/sim/"))
+    return;
   // Pass 1: names declared (or bound) as unordered containers in this file.
   static const std::regex kDecl(
       R"((?:std::)?unordered_(?:map|set|multimap|multiset)\s*<[^;{]*>\s+(\w+)\s*[;={(])");

@@ -10,6 +10,8 @@ namespace qoslb::lint {
 namespace {
 
 /// Names that look like `name (...)` in code but never start a definition.
+/// `constexpr` is here for `if constexpr (...) {`, which is a branch, not a
+/// function named constexpr that every other `if constexpr` would call.
 bool is_control_keyword(const std::string& name) {
   static const std::set<std::string> kKeywords = {
       "if",       "for",      "while",   "switch",        "return",
@@ -17,6 +19,7 @@ bool is_control_keyword(const std::string& name) {
       "new",      "delete",   "throw",   "static_assert", "alignas",
       "defined",  "typeid",   "assert",  "co_await",      "co_return",
       "co_yield", "requires", "else",    "case",          "do",
+      "constexpr",
   };
   return kKeywords.count(name) != 0;
 }

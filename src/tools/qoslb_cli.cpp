@@ -451,8 +451,9 @@ int mode_async(ArgParser& args) {
   const bool random_start = !args.get_flag("all0");
   // Fault injection (docs/faults.md): --drop/--dup are uniform per-message
   // probabilities, --heavy-tail the probability of a Pareto latency spike,
-  // --crash=R:T0:T1 crashes resource R over [T0, T1) (repeatable via a
-  // comma-separated list).
+  // --crash=A:T0:T1 crashes agent A over [T0, T1) (repeatable via a
+  // comma-separated list). Agents are the resources 0 .. m-1, then the
+  // users m .. m+n-1; any other id is rejected.
   const double drop = args.get_double("drop", 0.0);
   const double dup = args.get_double("dup", 0.0);
   const double heavy_tail = args.get_double("heavy-tail", 0.0);

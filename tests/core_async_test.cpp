@@ -163,6 +163,35 @@ TEST(AsyncConfigStart, RejectsBadInitialAssignment) {
   EXPECT_THROW(run_async_admission(inst, config), std::invalid_argument);
 }
 
+// A crash window names an agent id: resources 0 .. m-1, then users
+// m .. m+n-1. A window for any other id could never fire but would still
+// arm the loss-tolerant protocol, so it is rejected.
+TEST(AsyncFaults, RejectsACrashWindowForAnAgentThatDoesNotExist) {
+  Xoshiro256 rng(23);
+  const Instance inst = make_uniform_feasible(10, 2, 0.5, 1.0, rng);
+  for (const AgentId agent : {AgentId{12}, AgentId{99999}, kNoAgent}) {
+    EngineConfig config;
+    config.faults.crash(agent, 0.0, 3.0);
+    try {
+      run_async_admission(inst, config);
+      ADD_FAILURE() << "agent " << agent << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string expected = "crash window for agent " +
+                                   std::to_string(agent) +
+                                   ", but the run has 12 agents";
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(run_async_optimistic(inst, 0.5, config),
+                 std::invalid_argument);
+  }
+  // The last user (agent m + n - 1) is a valid target.
+  EngineConfig config;
+  config.faults.crash(11, 0.0, 3.0);
+  EXPECT_EQ(run_async_admission(inst, config).termination,
+            Termination::kQuiesced);
+}
+
 // ---- fault tolerance ----
 
 /// The scenario the fault layer exists for: uniform message loss, message

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/potential.hpp"
 #include "net/generators.hpp"
 #include "obs/decision_sink.hpp"
+#include "obs/perf_counters.hpp"
 #include "qoslb.hpp"
 #include "rng/round_rng.hpp"
 
@@ -25,13 +27,24 @@ Instance test_instance(std::size_t n, std::size_t m) {
   return make_uniform_feasible(n, m, 0.5, 1.5, rng);
 }
 
-std::vector<ResourceId> assignment_of(const State& state) {
+template <typename Model>
+std::vector<ResourceId> assignment_of(const BasicState<Model>& state) {
   std::vector<ResourceId> assignment(state.num_users());
   for (UserId u = 0; u < state.num_users(); ++u)
     assignment[u] = state.resource_of(u);
   return assignment;
 }
 
+std::vector<std::uint64_t> counters_of(const Counters& counters) {
+  std::vector<std::uint64_t> values;
+  Counters::for_each_field(
+      [&values](const char*, std::uint64_t value) { values.push_back(value); },
+      counters);
+  return values;
+}
+
+/// A protocol kind: a registry kind, or one of the weighted kinds w-uniform
+/// (with `lambda`), w-admission and w-seq-br.
 struct ShardedCase {
   std::string kind;
   double lambda;
@@ -42,6 +55,15 @@ const std::vector<ShardedCase>& sharded_cases() {
       {"uniform", 0.5},      {"adaptive", 1.0},      {"admission", 1.0},
       {"nbr-uniform", 0.5},  {"nbr-admission", 1.0}, {"berenbrink", 1.0}};
   return kCases;
+}
+
+std::unique_ptr<WeightedProtocol> make_weighted_protocol(
+    const ShardedCase& param) {
+  if (param.kind == "w-uniform")
+    return std::make_unique<WeightedUniformSampling>(param.lambda);
+  if (param.kind == "w-admission")
+    return std::make_unique<WeightedAdmissionControl>();
+  return std::make_unique<WeightedSequentialBestResponse>();
 }
 
 std::string case_name(const ::testing::TestParamInfo<ShardedCase>& info) {
@@ -60,37 +82,34 @@ EngineConfig base_config(const obs::Telemetry& telemetry) {
   return config;
 }
 
-class TelemetryInvariance : public ::testing::TestWithParam<ShardedCase> {};
-
-// The acceptance gate: telemetry-off reference vs telemetry-on runs at
-// threads {1, 2, 4, 8} in dense and active modes, for every sharded
-// protocol and for step() protocols, which ignore both knobs.
-TEST_P(TelemetryInvariance, SinksOnAndOffProduceIdenticalRuns) {
-  const ShardedCase& param = GetParam();
-  const Instance instance = test_instance(2000, 32);
-  const Graph ring = make_ring(32);
-  const auto make = [&] {
-    ProtocolSpec spec;
-    spec.kind = param.kind;
-    spec.lambda = param.lambda;
-    spec.graph = &ring;
-    return make_protocol(spec);
-  };
-
+/// The acceptance gate behind TelemetryInvariance for one load model:
+/// telemetry-off reference vs telemetry-on runs at threads {1, 2, 4, 8} in
+/// dense and active modes. `make_state` and `make_protocol` build a fresh
+/// start state and protocol for each run.
+template <typename MakeState, typename MakeProtocol>
+void expect_telemetry_invariance(const std::string& kind,
+                                 const MakeState& make_state,
+                                 const MakeProtocol& make_protocol) {
   // Reference: telemetry off, dense, one thread.
   std::vector<ResourceId> reference;
   EngineResult reference_result;
   {
-    State state = State::all_on(instance, 0);
-    const auto protocol = make();
+    auto state = make_state();
+    const auto protocol = make_protocol();
     Xoshiro256 rng(77);
     reference_result =
         Engine(base_config(obs::Telemetry{})).run(*protocol, state, rng);
     reference = assignment_of(state);
     EXPECT_FALSE(reference_result.telemetry.enabled);
   }
+  EXPECT_EQ(reference_result.unsatisfied_trajectory.size(),
+            reference_result.rounds)
+      << kind;
 
   obs::SteadyClock clock;
+  // Unavailable under a locked-down perf_event_paranoid; either way
+  // attaching it must not move the run.
+  obs::PerfCounters perf;
   for (const EngineMode mode : {EngineMode::kDense, EngineMode::kActive}) {
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       obs::MetricsRegistry metrics;
@@ -101,16 +120,17 @@ TEST_P(TelemetryInvariance, SinksOnAndOffProduceIdenticalRuns) {
       telemetry.sink = &sink;
       telemetry.decisions = &decisions;
       telemetry.clock = &clock;
+      telemetry.perf = &perf;
 
-      State state = State::all_on(instance, 0);
-      const auto protocol = make();
+      auto state = make_state();
+      const auto protocol = make_protocol();
       Xoshiro256 rng(77);
       EngineConfig config = base_config(telemetry);
       config.mode = mode;
       config.threads = threads;
       const EngineResult result = Engine(config).run(*protocol, state, rng);
 
-      const std::string label = param.kind +
+      const std::string label = kind +
                                 (mode == EngineMode::kActive ? " active"
                                                              : " dense") +
                                 " threads=" + std::to_string(threads);
@@ -119,21 +139,28 @@ TEST_P(TelemetryInvariance, SinksOnAndOffProduceIdenticalRuns) {
       EXPECT_EQ(result.converged, reference_result.converged) << label;
       EXPECT_EQ(result.final_satisfied, reference_result.final_satisfied)
           << label;
+      EXPECT_EQ(result.final_satisfied_weight, state.satisfied_weight())
+          << label;
       EXPECT_EQ(result.unsatisfied_trajectory,
                 reference_result.unsatisfied_trajectory)
           << label;
-      EXPECT_EQ(result.counters.migrations, reference_result.counters.migrations)
-          << label;
-      EXPECT_EQ(result.counters.probes, reference_result.counters.probes)
+      EXPECT_EQ(counters_of(result.counters),
+                counters_of(reference_result.counters))
           << label;
 
       // The accounting contract: one row per executed round plus the
       // round-0 snapshot, identical across every (mode, threads) pair.
       EXPECT_TRUE(result.telemetry.enabled) << label;
       EXPECT_EQ(result.telemetry.trace_rows, result.rounds + 1) << label;
-      EXPECT_EQ(sink.rows().size(), result.rounds + 1) << label;
+      ASSERT_EQ(sink.rows().size(), result.rounds + 1) << label;
+      EXPECT_EQ(sink.rows().back().potential, rosenthal_potential(state))
+          << label;
+      EXPECT_EQ(sink.rows().back().max_load, state.max_load()) << label;
       ASSERT_EQ(sink.runs().size(), 1u) << label;
       EXPECT_EQ(sink.runs()[0].threads, result.threads_used) << label;
+      EXPECT_EQ(metrics.gauge_value(metrics.find_gauge("perf/available")),
+                perf.available() ? 1.0 : 0.0)
+          << label;
       // step() protocols ignore mode and threads: they run inline on the
       // caller's RNG, take no master-seed fold, and the trace header says
       // so. They record no per-user decisions, hence no diag rows either.
@@ -151,11 +178,45 @@ TEST_P(TelemetryInvariance, SinksOnAndOffProduceIdenticalRuns) {
   }
 }
 
+class TelemetryInvariance : public ::testing::TestWithParam<ShardedCase> {};
+
+// For every sharded protocol, for step() protocols, which ignore mode and
+// threads, and for the weighted protocols, which are step() protocols on the
+// same round loop.
+TEST_P(TelemetryInvariance, SinksOnAndOffProduceIdenticalRuns) {
+  const ShardedCase& param = GetParam();
+  if (param.kind.starts_with("w-")) {
+    Xoshiro256 rng(1);
+    const WeightedInstance instance =
+        make_weighted_feasible(600, 16, 0.3, 4, 1.0, rng);
+    expect_telemetry_invariance(
+        param.kind, [&] { return WeightedState::all_on(instance, 0); },
+        [&] { return make_weighted_protocol(param); });
+    return;
+  }
+  const Instance instance = test_instance(2000, 32);
+  const Graph ring = make_ring(32);
+  expect_telemetry_invariance(
+      param.kind, [&] { return State::all_on(instance, 0); },
+      [&] {
+        ProtocolSpec spec;
+        spec.kind = param.kind;
+        spec.lambda = param.lambda;
+        spec.graph = &ring;
+        return make_protocol(spec);
+      });
+}
+
 INSTANTIATE_TEST_SUITE_P(AllShardedProtocols, TelemetryInvariance,
                          ::testing::ValuesIn(sharded_cases()), case_name);
 INSTANTIATE_TEST_SUITE_P(StepProtocols, TelemetryInvariance,
                          ::testing::Values(ShardedCase{"seq-br", 1.0},
                                            ShardedCase{"cached", 0.5}),
+                         case_name);
+INSTANTIATE_TEST_SUITE_P(WeightedProtocols, TelemetryInvariance,
+                         ::testing::Values(ShardedCase{"w-uniform", 0.5},
+                                           ShardedCase{"w-admission", 1.0},
+                                           ShardedCase{"w-seq-br", 1.0}),
                          case_name);
 
 TEST(Telemetry, MetricsMirrorTheRunCounters) {
@@ -281,7 +342,9 @@ TEST(Telemetry, AsyncRunsAreUnchangedAndTimeEventDispatchVirtually) {
             result.events);
 }
 
-TEST(Telemetry, WeightedRunsFillMetricsWithoutTraceRows) {
+// Weighted runs go through the same round loop, so they write trace rows
+// and state gauges, with loads and the potential in weight units.
+TEST(Telemetry, WeightedRunsTraceInWeightUnits) {
   Xoshiro256 rng(9);
   const WeightedInstance instance =
       make_weighted_feasible(100, 8, 0.3, 4, 1.0, rng);
@@ -289,18 +352,31 @@ TEST(Telemetry, WeightedRunsFillMetricsWithoutTraceRows) {
   WeightedState state = WeightedState::all_on(instance, 0);
 
   obs::MetricsRegistry metrics;
+  obs::MemoryTraceSink sink;
   obs::SteadyClock clock;
   EngineConfig config;
   config.max_rounds = 100000;
   config.telemetry.metrics = &metrics;
+  config.telemetry.sink = &sink;
   config.telemetry.clock = &clock;
   const EngineResult result = Engine(config).run(protocol, state, rng);
 
   EXPECT_TRUE(result.telemetry.enabled);
-  EXPECT_EQ(result.telemetry.trace_rows, 0u);
   EXPECT_EQ(metrics.counter_value(metrics.find_counter("engine/rounds")),
             result.counters.rounds);
-  EXPECT_GT(result.telemetry.phases[obs::Phase::kStep].count, 0u);
+  EXPECT_EQ(result.telemetry.phases[obs::Phase::kStep].count, result.rounds);
+  ASSERT_EQ(sink.rows().size(), result.rounds + 1);
+  // Round 0: the whole weight on resource 0, Σ_{k=1..W} k / s_0.
+  const auto total = static_cast<double>(instance.total_weight());
+  const obs::TraceRow& first = sink.rows().front();
+  EXPECT_EQ(first.max_load, static_cast<std::int64_t>(instance.total_weight()));
+  EXPECT_EQ(first.potential, total * (total + 1) / 2.0 / instance.capacity(0));
+  EXPECT_EQ(sink.rows().back().potential, rosenthal_potential(state));
+  EXPECT_EQ(metrics.gauge_value(metrics.find_gauge("state/potential")),
+            rosenthal_potential(state));
+  EXPECT_EQ(metrics.gauge_value(metrics.find_gauge("state/max_load")),
+            static_cast<double>(state.max_load()));
+  EXPECT_EQ(result.final_satisfied_weight, state.satisfied_weight());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 
+#include "core/engine.hpp"
 #include "core/weighted/weighted_generators.hpp"
 #include "core/weighted/weighted_instance.hpp"
 #include "core/weighted/weighted_protocols.hpp"
@@ -174,8 +175,8 @@ TEST(WeightedRunner, MaxRoundsCap) {
   EXPECT_FALSE(result.all_satisfied);
 }
 
-// A weighted protocol steps on the caller's RNG, so the runner rejects what
-// it could not carry out instead of ignoring it.
+// A weighted protocol steps on the caller's RNG, so the round loop rejects
+// what it could not carry out instead of ignoring it — with seq-br's check.
 TEST(WeightedRunner, RejectsAChurnPlan) {
   Xoshiro256 rng(3);
   const WeightedInstance inst = make_weighted_feasible(100, 8, 0.3, 4, 1.0, rng);
@@ -183,7 +184,15 @@ TEST(WeightedRunner, RejectsAChurnPlan) {
   WeightedUniformSampling protocol(0.5);
   EngineConfig config;
   config.churn.fail(2, 3);
-  EXPECT_THROW(Engine(config).run(protocol, state, rng), std::invalid_argument);
+  try {
+    Engine(config).run(protocol, state, rng);
+    ADD_FAILURE() << "a churn plan was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "churn plans need a sharded (step_users) protocol"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(WeightedRunner, RejectsSnapshotRounds) {

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <tuple>
 
+#include "core/engine.hpp"
 #include "core/weighted/weighted_generators.hpp"
 #include "core/weighted/weighted_protocols.hpp"
 #include "rng/splitmix64.hpp"

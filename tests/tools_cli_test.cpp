@@ -114,6 +114,33 @@ TEST(Cli, ListSpecsNameTheFlagAndTheRawText) {
   }
 }
 
+// An async crash window must name one of the run's m + n agents. Before the
+// check, a window for an agent that does not exist (here 4294967295 is
+// kNoAgent) could never fire but still armed the loss-tolerant protocol:
+// the first command exited 0 with 159 events against 105 without the flag.
+TEST(Cli, AsyncCrashWindowForAMissingAgentFails) {
+  const struct {
+    std::string flags;
+    std::string message;
+  } cases[] = {
+      {"--mode=async --n=50 --m=4 --crash=99999:0:3",
+       "crash window for agent 99999, but the run has 54 agents"},
+      {"--mode=async --n=50 --m=4 --crash=4294967295:0:3",
+       "crash window for agent 4294967295, but the run has 54 agents"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_binary(QOSLB_CLI_PATH, c.flags);
+    EXPECT_EQ(run.status, 1) << c.flags << '\n' << run.output;
+    EXPECT_NE(run.output.find("qoslb: "), std::string::npos) << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos)
+        << c.flags << '\n' << run.output;
+  }
+  // The last user, agent m + n - 1 = 53, is a valid target.
+  EXPECT_EQ(run_binary(QOSLB_CLI_PATH, "--mode=async --n=50 --m=4 "
+                                       "--crash=53:0:3").status,
+            0);
+}
+
 // The benches read every count flag through ArgParser::get_count, and
 // report a bad flag instead of aborting.
 TEST(BenchCli, NegativeCountFlagsFailNamingTheFlag) {

@@ -57,6 +57,7 @@ TEST(LintRules, ExactFixtureHitCounts) {
       {{"src/core/layering_bad.hpp", "QL011"}, 2},
       {{"src/core/potential.cpp", "QL005"}, 2},
       {{"src/core/protocols/iter_bad.cpp", "QL002"}, 3},
+      {{"src/core/weighted/iter_bad.hpp", "QL002"}, 1},
       {{"src/core/split_tracker.hpp", "QL014"}, 1},
       {{"src/core/window_tracker.hpp", "QL014"}, 1},
       {{"src/core/satisfaction_acc.hpp", "QL005"}, 2},
@@ -82,6 +83,16 @@ TEST(LintRules, Ql002FlagsRangeForAndIteratorWalks) {
       findings_for("src/core/protocols/iter_bad.cpp");
   EXPECT_EQ(lines_of(fs), (std::vector<int>{8, 9, 10}));
   for (const Finding& f : fs) EXPECT_EQ(f.rule, "QL002");
+}
+
+// The scope is all of src/core/ and src/sim/, not a list of paths: a
+// weighted commit walking a hash set is flagged like a protocol's.
+TEST(LintRules, Ql002CoversTheWholeSimulationCore) {
+  const std::vector<Finding> fs = findings_for("src/core/weighted/iter_bad.hpp");
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].rule, "QL002");
+  EXPECT_EQ(fs[0].line, 11);
+  EXPECT_NE(fs[0].message.find("'pending'"), std::string::npos);
 }
 
 TEST(LintRules, Ql003FlagsClockEnvAndTimerInclude) {

@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "core/generators.hpp"
-#include "core/protocols/adaptive_sampling.hpp"
-#include "core/protocols/admission_control.hpp"
-#include "core/protocols/uniform_sampling.hpp"
+#include "core/protocols/sampling.hpp"
 #include "core/satisfaction.hpp"
 #include "opt/dinic.hpp"
 #include "opt/satisfaction.hpp"
@@ -141,7 +139,7 @@ BENCHMARK(BM_EquilibriumCheckFastPath)->Arg(1024)->Arg(16384);
 void BM_ProtocolRound(benchmark::State& state) {
   Xoshiro256 rng(1);
   const Instance inst = make_uniform_feasible(4096, 256, 0.5, 1.5, rng);
-  AdaptiveSampling protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdaptive);
   State s = State::all_on(inst, 0);
   Counters counters;
   for (auto _ : state) {
@@ -155,7 +153,7 @@ BENCHMARK(BM_ProtocolRound);
 void BM_AdmissionRound(benchmark::State& state) {
   Xoshiro256 rng(1);
   const Instance inst = make_uniform_feasible(4096, 256, 0.5, 1.5, rng);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdmission);
   State s = State::all_on(inst, 0);
   Counters counters;
   for (auto _ : state) {

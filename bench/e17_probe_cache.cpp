@@ -6,14 +6,14 @@
 // loads drift slowly, stale data is almost as good as fresh, and caching is
 // a near-free ~4× message saving; undamped (λ=1) the whole herd acts on the
 // same cached "free" signal, so staleness amplifies overshoot.
-// UniformSampling (every user pays every probe) is the reference row per λ.
+// The `uniform` kind (every user pays every probe) is the reference row per λ.
 
 #include <iostream>
 #include <memory>
 
 #include "bench_common.hpp"
 #include "core/protocols/cached_sampling.hpp"
-#include "core/protocols/uniform_sampling.hpp"
+#include "core/protocols/sampling.hpp"
 #include "util/strings.hpp"
 #include "rng/splitmix64.hpp"
 
@@ -35,8 +35,9 @@ static int bench_main(int argc, char** argv) {
   std::vector<Config> configs;
   for (const double lambda : {0.5, 1.0}) {
     const std::string suffix = " λ=" + format_double(lambda, 2);
-    configs.push_back(
-        {"uniform (no cache)" + suffix, std::make_unique<UniformSampling>(lambda)});
+    configs.push_back({"uniform (no cache)" + suffix,
+                       std::make_unique<SamplingProtocol>(
+                           SamplingProtocol::Rule::kLambda, lambda)});
     for (const std::uint32_t ttl : {0u, 2u, 8u, 16u})
       configs.push_back({"cached ttl=" + std::to_string(ttl) + suffix,
                          std::make_unique<CachedSampling>(lambda, ttl)});

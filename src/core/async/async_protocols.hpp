@@ -47,13 +47,14 @@ struct AsyncRunResult {
 };
 
 /// Runs the asynchronous admission protocol — the message-passing
-/// realization of P4 (AdmissionControl): users probe their own resource,
-/// search random alternatives when unsatisfied, and migrate only after an
-/// explicit GRANT from the target resource; resources grant only if the
-/// post-admission load keeps the requester and all currently satisfied
-/// residents satisfied, and notify residents that become satisfied in place
-/// when departures free capacity. Feasible instances quiesce (the event queue
-/// drains); infeasible ones are cut off at max_events. Under an active fault
+/// realization of P4 (SamplingProtocol's `admission` kind): users probe
+/// their own resource, search random alternatives when unsatisfied, and
+/// migrate only after an explicit GRANT from the target resource; resources
+/// grant only if the post-admission load keeps the requester and all
+/// currently satisfied residents satisfied, and notify residents that become
+/// satisfied in place when departures free capacity. Feasible instances
+/// quiesce (the event queue drains); infeasible ones are cut off at
+/// max_events. Under an active fault
 /// plan the loss-tolerant machinery (timeouts, bounded retries with
 /// exponential backoff, stale/duplicate suppression, acknowledged leaves)
 /// keeps feasible instances converging instead of deadlocking on a lost
@@ -63,9 +64,10 @@ AsyncRunResult run_async_admission(const Instance& instance,
                                    const EngineConfig& config = {});
 
 /// Runs the *optimistic* asynchronous protocol — the message-passing
-/// realization of P2 (UniformSampling) with migration probability `lambda`:
-/// a user that sees a satisfying load simply joins (JOIN is not gated), so
-/// decisions taken on in-flight information can overshoot, displace
+/// realization of P2 (SamplingProtocol's `uniform` kind) with migration
+/// probability `lambda`: a user that sees a satisfying load simply joins
+/// (JOIN is not gated), so decisions taken on in-flight information can
+/// overshoot, displace
 /// residents, and re-trigger their searches. This is the asynchronous
 /// herding failure mode the admission handshake removes; with λ well below
 /// 1 the dynamics still settle in practice. Same config/termination/fault

@@ -83,7 +83,8 @@ class OpenSystem {
     }
   }
 
-  /// One admission-gated round, mirroring AdmissionControl on the live set.
+  /// One admission-gated round, mirroring the `admission` kind of
+  /// SamplingProtocol on the live set.
   void protocol_round() {
     // Satisfied-resident minimum thresholds (the admission gate).
     std::vector<int> resident_min(config_.num_resources,

@@ -65,8 +65,8 @@ struct DecisionScratch {
 struct MigrationBuffer {
   std::vector<MigrationRequest> requests;
   /// Optional per-resource aggregates a protocol tallies while deciding
-  /// (e.g. AdaptiveSampling's migration-intent counts). Sized lazily by the
-  /// protocol; summed across shards in commit_round().
+  /// (e.g. the `adaptive` kind's migration-intent counts). Sized lazily by
+  /// the protocol; summed across shards in commit_round().
   std::vector<std::uint32_t> resource_tallies;
   /// Non-null only while decision tracing is attached (engine-owned, one
   /// per shard). Protocols append a DecisionRecord for every *sampled*

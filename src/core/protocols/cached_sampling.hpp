@@ -7,9 +7,10 @@
 
 namespace qoslb {
 
-/// Stale-information ablation (E17): identical to UniformSampling except
-/// that users consult a shared load cache (think: piggybacked gossip or a
-/// periodically refreshed bulletin board) and only pay for a fresh PROBE
+/// Stale-information ablation (E17): identical to SamplingProtocol's
+/// `uniform` kind except that users consult a shared load cache (think:
+/// piggybacked gossip or a periodically refreshed bulletin board) and only
+/// pay for a fresh PROBE
 /// when the cached entry is older than `ttl` rounds. With ttl = 0 an entry
 /// is refreshed at most once per round and shared by every user that samples
 /// the resource in that round (a round bulletin board) — already cheaper in

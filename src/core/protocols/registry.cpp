@@ -5,13 +5,10 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/protocols/adaptive_sampling.hpp"
-#include "core/protocols/admission_control.hpp"
 #include "core/protocols/berenbrink.hpp"
 #include "core/protocols/cached_sampling.hpp"
-#include "core/protocols/neighborhood_sampling.hpp"
+#include "core/protocols/sampling.hpp"
 #include "core/protocols/sequential_best_response.hpp"
-#include "core/protocols/uniform_sampling.hpp"
 
 namespace qoslb {
 
@@ -32,19 +29,18 @@ Entry row(const char* name, const char* description, Build build) {
   return {{name, description, Built::kTraits}, std::move(build)};
 }
 
-NeighborhoodSampling::Commit commit_for(const std::string& kind) {
-  return kind == "nbr-admission" ? NeighborhoodSampling::Commit::kAdmission
-                                 : NeighborhoodSampling::Commit::kOptimistic;
-}
-
-std::unique_ptr<NeighborhoodSampling> make_neighborhood(
-    const ProtocolSpec& spec) {
-  if (spec.graph == nullptr)
-    throw std::invalid_argument("protocol kind '" + spec.kind +
-                                "' needs a resource graph");
-  return std::make_unique<NeighborhoodSampling>(*spec.graph,
-                                                commit_for(spec.kind),
-                                                spec.lambda, spec.probes);
+/// The builder of a sampling kind: its request rule, and whether its
+/// candidates are the neighbours on the spec's resource graph. Only the
+/// lambda rule reads spec.lambda.
+auto sampling_kind(SamplingProtocol::Rule rule, bool on_graph) {
+  return [rule, on_graph](const ProtocolSpec& spec) {
+    if (on_graph && spec.graph == nullptr)
+      throw std::invalid_argument("protocol kind '" + spec.kind +
+                                  "' needs a resource graph");
+    return std::make_unique<SamplingProtocol>(
+        rule, rule == SamplingProtocol::Rule::kLambda ? spec.lambda : 1.0,
+        spec.probes, on_graph ? spec.graph : nullptr);
+  };
 }
 
 const std::vector<Entry>& entries() {
@@ -61,26 +57,20 @@ const std::vector<Entry>& entries() {
           }),
       row("uniform",
           "uniform sampling with lambda-damped optimistic migration (P2)",
-          [](const ProtocolSpec& spec) {
-            return std::make_unique<UniformSampling>(spec.lambda, spec.probes);
-          }),
+          sampling_kind(SamplingProtocol::Rule::kLambda, false)),
       row("adaptive",
           "contention-adaptive migration probability slack/intents (P3)",
-          [](const ProtocolSpec& spec) {
-            return std::make_unique<AdaptiveSampling>(spec.probes);
-          }),
+          sampling_kind(SamplingProtocol::Rule::kAdaptive, false)),
       row("admission",
           "resource-gated admission: REQUEST/GRANT commit, monotone (P4)",
-          [](const ProtocolSpec& spec) {
-            return std::make_unique<AdmissionControl>(spec.probes);
-          }),
+          sampling_kind(SamplingProtocol::Rule::kAdmission, false)),
       row("nbr-uniform",
           "neighborhood-restricted optimistic sampling on a resource graph "
           "(P5)",
-          make_neighborhood),
+          sampling_kind(SamplingProtocol::Rule::kLambda, true)),
       row("nbr-admission",
           "neighborhood-restricted sampling with admission commit (P5)",
-          make_neighborhood),
+          sampling_kind(SamplingProtocol::Rule::kAdmission, true)),
       row("berenbrink",
           "classic selfish load balancing, QoS-oblivious baseline (P6)",
           [](const ProtocolSpec&) {

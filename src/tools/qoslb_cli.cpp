@@ -56,6 +56,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <iostream>
 #include <stdexcept>
@@ -267,7 +268,12 @@ int mode_run(ArgParser& args) {
   const std::string family = args.get_string("family", "uniform");
   const std::string kind = args.get_string("protocol", "admission");
   const double lambda = args.get_double("lambda", 0.5);
-  const long long probes = args.get_int("probes", 1);
+  const std::uint64_t probes = args.get_count("probes", 1);
+  constexpr int kMaxProbes = std::numeric_limits<int>::max();
+  if (probes < 1 || probes > static_cast<std::uint64_t>(kMaxProbes))
+    throw std::invalid_argument("--probes must be in [1, " +
+                                std::to_string(kMaxProbes) + "], got " +
+                                std::to_string(probes));
   const std::string start = args.get_string("start", "all0");
   const auto reps = static_cast<std::size_t>(args.get_count("reps", 10));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/generators.hpp"
-#include "core/protocols/uniform_sampling.hpp"
+#include "core/protocols/sampling.hpp"
 #include "core/engine.hpp"
 
 namespace qoslb {
@@ -32,7 +32,7 @@ TEST(CachedSampling, SharedRoundCacheSavesProbes) {
     config.max_rounds = 50000;
     return Engine(config).run(protocol, state, rng).counters.probes;
   };
-  UniformSampling uniform(0.5);
+  SamplingProtocol uniform(SamplingProtocol::Rule::kLambda, 0.5);
   CachedSampling cached(0.5, 0);
   // Few resources, many users: sharing is dramatic.
   EXPECT_LT(run_with(cached), run_with(uniform) / 4);

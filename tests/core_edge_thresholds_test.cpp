@@ -10,11 +10,14 @@
 //    reference copy of the searching probe it replaced, and leaves the
 //    Philox stream at the same position, with some resources dead;
 //  - State::move() still refuses an unreachable target;
-//  - multi-probe goldens: uniform (k=3), adaptive (k=2) and admission (k=3)
-//    on the uniform, matrix, restricted-matrix and bipartite rate models,
-//    pinned at threads 1 and 4 in dense and active mode. With more than
-//    one probe the decide body still ranks probes by quality, so these
-//    runs cover the path that single-probe runs skip.
+//  - multi-probe goldens: uniform (k=3), adaptive (k=2), admission (k=3),
+//    nbr-uniform (k=3) and nbr-admission (k=3) on the uniform, matrix,
+//    restricted-matrix and bipartite rate models, pinned at threads 1 and
+//    4 in dense and active mode; the nbr-* kinds probe the neighbours of
+//    the user's resource on the 5-dimensional hypercube over the 32
+//    resources. With more than one probe the decide body still ranks
+//    probes by quality, so these runs cover the path that single-probe
+//    runs skip.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +32,7 @@
 #include "core/protocols/common.hpp"
 #include "core/protocols/registry.hpp"
 #include "core/snapshot.hpp"
+#include "net/generators.hpp"
 #include "rng/distributions.hpp"
 #include "rng/round_rng.hpp"
 #include "rng/xoshiro256.hpp"
@@ -239,6 +243,17 @@ constexpr MultiProbeGolden kMultiProbeGolden[] = {
     {"admission", 3, "matrix", 17575691169926614004ULL, 1, 17988},
     {"admission", 3, "restricted-matrix", 14225999250256578859ULL, 1, 15773},
     {"admission", 3, "bipartite", 8631243660941580372ULL, 300, 40988},
+    // Captured at the commit before the sampling protocols merged into one
+    // class, on the hypercube below.
+    {"nbr-uniform", 3, "uniform", 15070425245535311380ULL, 28, 89348},
+    {"nbr-uniform", 3, "matrix", 16130441433224765916ULL, 16, 36737},
+    {"nbr-uniform", 3, "restricted-matrix", 17852506141223448088ULL, 20, 35239},
+    {"nbr-uniform", 3, "bipartite", 14702432647424650199ULL, 76, 339278},
+    {"nbr-admission", 3, "uniform", 17231929818938184975ULL, 300, 2745711},
+    {"nbr-admission", 3, "matrix", 3196146403536492227ULL, 300, 958632},
+    {"nbr-admission", 3, "restricted-matrix", 9414294402197697753ULL, 300,
+     687702},
+    {"nbr-admission", 3, "bipartite", 3765813311712494174ULL, 8, 46867},
 };
 
 TEST(MultiProbeGoldens, EveryProtocolModelThreadsModeCellMatchesCapture) {
@@ -257,6 +272,8 @@ TEST(MultiProbeGoldens, EveryProtocolModelThreadsModeCellMatchesCapture) {
       {"bipartite", make_clustered_bipartite(n, m, 8, 2, 0.1, gen_rng)});
   ASSERT_TRUE(models[2].instance.restricted());
   ASSERT_TRUE(models[3].instance.restricted());
+  const Graph hypercube = make_hypercube(5);  // the nbr-* kinds' graph
+  ASSERT_EQ(hypercube.num_vertices(), m);
 
   for (const MultiProbeGolden& golden : kMultiProbeGolden) {
     const Model* model = nullptr;
@@ -267,6 +284,7 @@ TEST(MultiProbeGoldens, EveryProtocolModelThreadsModeCellMatchesCapture) {
     spec.kind = golden.protocol;
     spec.lambda = 0.5;
     spec.probes = golden.probes;
+    spec.graph = &hypercube;
     const auto protocol = make_protocol(spec);
 
     std::vector<ResourceId> start(n, 0);

@@ -3,19 +3,18 @@
 #include <memory>
 
 #include "core/generators.hpp"
-#include "core/protocols/adaptive_sampling.hpp"
-#include "core/protocols/admission_control.hpp"
 #include "core/protocols/berenbrink.hpp"
 #include "core/protocols/common.hpp"
-#include "core/protocols/neighborhood_sampling.hpp"
 #include "core/protocols/registry.hpp"
+#include "core/protocols/sampling.hpp"
 #include "core/protocols/sequential_best_response.hpp"
-#include "core/protocols/uniform_sampling.hpp"
 #include "core/engine.hpp"
 #include "net/generators.hpp"
 
 namespace qoslb {
 namespace {
+
+using Rule = SamplingProtocol::Rule;
 
 /// Shared fixture pieces: a generously slack feasible instance where every
 /// satisfaction protocol must reach full satisfaction.
@@ -111,16 +110,16 @@ TEST(SequentialBestResponse, MovesToBestQualityTarget) {
 // ---- uniform sampling ----
 
 TEST(UniformSampling, RejectsBadParameters) {
-  EXPECT_THROW(UniformSampling(0.0), std::invalid_argument);
-  EXPECT_THROW(UniformSampling(1.5), std::invalid_argument);
-  EXPECT_THROW(UniformSampling(0.5, 0), std::invalid_argument);
+  EXPECT_THROW(SamplingProtocol(Rule::kLambda, 0.0), std::invalid_argument);
+  EXPECT_THROW(SamplingProtocol(Rule::kLambda, 1.5), std::invalid_argument);
+  EXPECT_THROW(SamplingProtocol(Rule::kLambda, 0.5, 0), std::invalid_argument);
 }
 
 TEST(UniformSampling, SatisfiedUsersNeverMove) {
   const Instance inst = Instance::identical(2, 1.0, {0.5, 0.5});
   State state(inst, {0, 1});
   Xoshiro256 rng(1);
-  UniformSampling protocol(1.0);
+  SamplingProtocol protocol(Rule::kLambda, 1.0);
   Counters counters;
   for (int i = 0; i < 10; ++i) protocol.step(state, rng, counters);
   EXPECT_EQ(counters.migrations, 0u);
@@ -133,7 +132,7 @@ TEST(UniformSampling, UndampedFullScanOscillatesOnHerdingInstance) {
   const Instance inst = make_herding(100);
   State state = State::all_on(inst, 0);
   Xoshiro256 rng(3);
-  UniformSampling protocol(1.0, /*probes=*/8);
+  SamplingProtocol protocol(Rule::kLambda, 1.0, /*probes=*/8);
   EngineConfig config;
   config.max_rounds = 300;
   const EngineResult result = Engine(config).run(protocol, state, rng);
@@ -145,7 +144,7 @@ TEST(UniformSampling, DampingTamesHerding) {
   const Instance inst = make_herding(100);
   State state = State::all_on(inst, 0);
   Xoshiro256 rng(3);
-  UniformSampling protocol(0.3, /*probes=*/8);
+  SamplingProtocol protocol(Rule::kLambda, 0.3, /*probes=*/8);
   EngineConfig config;
   config.max_rounds = 10000;
   const EngineResult result = Engine(config).run(protocol, state, rng);
@@ -154,8 +153,48 @@ TEST(UniformSampling, DampingTamesHerding) {
 }
 
 TEST(UniformSampling, NameEncodesParameters) {
-  EXPECT_EQ(UniformSampling(0.5).name(), "uniform(lambda=0.5)");
-  EXPECT_EQ(UniformSampling(1.0, 4).name(), "uniform(lambda=1,k=4)");
+  EXPECT_EQ(SamplingProtocol(Rule::kLambda, 0.5).name(), "uniform(lambda=0.5)");
+  EXPECT_EQ(SamplingProtocol(Rule::kLambda, 1.0, 4).name(),
+            "uniform(lambda=1,k=4)");
+}
+
+// ---- the sampling template (P2-P5 share SamplingProtocol) ----
+
+TEST(SamplingProtocol, NamesEncodeKindLambdaAndProbes) {
+  const Graph ring = make_ring(4);
+  EXPECT_EQ(SamplingProtocol(Rule::kAdaptive).name(), "adaptive");
+  EXPECT_EQ(SamplingProtocol(Rule::kAdaptive, 1.0, 2).name(), "adaptive(k=2)");
+  EXPECT_EQ(SamplingProtocol(Rule::kAdmission).name(), "admission");
+  EXPECT_EQ(SamplingProtocol(Rule::kAdmission, 1.0, 3).name(),
+            "admission(k=3)");
+  EXPECT_EQ(SamplingProtocol(Rule::kLambda, 0.5, 1, &ring).name(),
+            "nbr-uniform(lambda=0.5)");
+  EXPECT_EQ(SamplingProtocol(Rule::kLambda, 0.5, 3, &ring).name(),
+            "nbr-uniform(lambda=0.5,k=3)");
+  EXPECT_EQ(SamplingProtocol(Rule::kAdmission, 1.0, 1, &ring).name(),
+            "nbr-admission");
+  EXPECT_EQ(SamplingProtocol(Rule::kAdmission, 1.0, 3, &ring).name(),
+            "nbr-admission(k=3)");
+}
+
+// The class builds only the registry's five kinds: adaptive has no graph
+// variant, and only the lambda rule takes a migration probability.
+TEST(SamplingProtocol, RefusesCombinationsTheRegistryDoesNotBuild) {
+  const Graph ring = make_ring(4);
+  EXPECT_THROW(SamplingProtocol(Rule::kAdaptive, 1.0, 1, &ring),
+               std::invalid_argument);
+  EXPECT_THROW(SamplingProtocol(Rule::kAdaptive, 0.5), std::invalid_argument);
+  EXPECT_THROW(SamplingProtocol(Rule::kAdmission, 0.5), std::invalid_argument);
+  EXPECT_THROW(SamplingProtocol(Rule::kAdmission, 1.0, 0, &ring),
+               std::invalid_argument);
+  // The registry hands λ to the lambda kinds only.
+  ProtocolSpec spec;
+  spec.lambda = 0.25;
+  spec.graph = &ring;
+  for (const char* kind : {"adaptive", "admission", "nbr-admission"}) {
+    spec.kind = kind;
+    EXPECT_NO_THROW(make_protocol(spec)) << kind;
+  }
 }
 
 // ---- adaptive sampling ----
@@ -164,7 +203,7 @@ TEST(AdaptiveSampling, ConvergesOnHerdingWithoutTuning) {
   const Instance inst = make_herding(100);
   State state = State::all_on(inst, 0);
   Xoshiro256 rng(5);
-  AdaptiveSampling protocol;
+  SamplingProtocol protocol(Rule::kAdaptive);
   EngineConfig config;
   config.max_rounds = 20000;
   const EngineResult result = Engine(config).run(protocol, state, rng);
@@ -174,13 +213,13 @@ TEST(AdaptiveSampling, ConvergesOnHerdingWithoutTuning) {
 
 TEST(AdaptiveSampling, ResetClearsContentionState) {
   Scenario s(60, 6, 0.5, 11);
-  AdaptiveSampling protocol;
+  SamplingProtocol protocol(Rule::kAdaptive);
   Counters counters;
   protocol.step(s.state, s.rng, counters);
   protocol.reset();
   // After reset the protocol behaves identically on an identical scenario.
   Scenario s2(60, 6, 0.5, 11);
-  AdaptiveSampling fresh;
+  SamplingProtocol fresh(Rule::kAdaptive);
   Counters counters2;
   Xoshiro256 rng_a(99), rng_b(99);
   protocol.step(s2.state, rng_a, counters2);
@@ -195,7 +234,7 @@ TEST(AdaptiveSampling, ResetClearsContentionState) {
 TEST(AdmissionControl, SatisfiedCountNeverDecreases) {
   // The central monotonicity property of the gated protocol.
   Scenario s(120, 8, 0.3, 17);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(Rule::kAdmission);
   Counters counters;
   std::size_t satisfied = s.state.count_satisfied();
   for (int round = 0; round < 200; ++round) {
@@ -209,7 +248,7 @@ TEST(AdmissionControl, SatisfiedCountNeverDecreases) {
 
 TEST(AdmissionControl, GrantsPlusRejectsEqualRequests) {
   Scenario s(80, 8, 0.4, 23);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(Rule::kAdmission);
   Counters counters;
   for (int round = 0; round < 50; ++round)
     protocol.step(s.state, s.rng, counters);
@@ -221,7 +260,7 @@ TEST(AdmissionControl, NeverOvershootsAdmittedThresholds) {
   // After every admission round, every user that was satisfied before the
   // round is still satisfied (spot-check of the gate).
   Scenario s(100, 5, 0.2, 29);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(Rule::kAdmission);
   Counters counters;
   for (int round = 0; round < 100; ++round) {
     std::vector<bool> was_satisfied(s.state.num_users());
@@ -354,7 +393,7 @@ TEST(NeighborhoodSampling, ConvergesOnRing) {
   const Instance inst = make_uniform_feasible(120, 12, 0.5, 1.0, rng);
   const Graph ring = make_ring(12);
   State state = State::random(inst, rng);
-  NeighborhoodSampling protocol(ring, NeighborhoodSampling::Commit::kAdmission);
+  SamplingProtocol protocol(Rule::kAdmission, 1.0, 1, &ring);
   EngineConfig config;
   config.max_rounds = 50000;
   const EngineResult result = Engine(config).run(protocol, state, rng);
@@ -369,7 +408,7 @@ TEST(NeighborhoodSampling, OnlyMovesAlongEdges) {
   State state = State::all_on(inst, 0);
   std::vector<ResourceId> before(40);
   for (UserId u = 0; u < 40; ++u) before[u] = state.resource_of(u);
-  NeighborhoodSampling protocol(ring, NeighborhoodSampling::Commit::kOptimistic, 0.5);
+  SamplingProtocol protocol(Rule::kLambda, 0.5, 1, &ring);
   Counters counters;
   protocol.step(state, rng, counters);
   for (UserId u = 0; u < 40; ++u) {
@@ -388,10 +427,10 @@ TEST(NeighborhoodSampling, StabilityIsNeighborhoodRelative) {
   // Users 0,1 on vertex 0; user 2 on vertex 1 (full). Vertex 2 is free but
   // not adjacent to vertex 0.
   State state(inst, {0, 0, 1});
-  NeighborhoodSampling protocol(path, NeighborhoodSampling::Commit::kAdmission);
+  SamplingProtocol protocol(Rule::kAdmission, 1.0, 1, &path);
   EXPECT_TRUE(protocol.is_stable(state));
   // The complete graph version is NOT stable (vertex 2 reachable).
-  AdmissionControl full;
+  SamplingProtocol full(Rule::kAdmission);
   EXPECT_FALSE(full.is_stable(state));
 }
 
@@ -400,7 +439,7 @@ TEST(NeighborhoodSampling, GraphSizeMismatchThrows) {
   const Instance inst = make_uniform_feasible(10, 5, 0.5, 1.0, rng);
   const Graph ring = make_ring(4);
   State state = State::random(inst, rng);
-  NeighborhoodSampling protocol(ring, NeighborhoodSampling::Commit::kOptimistic);
+  SamplingProtocol protocol(Rule::kLambda, 1.0, 1, &ring);
   Counters counters;
   EXPECT_THROW(protocol.step(state, rng, counters), std::invalid_argument);
 }

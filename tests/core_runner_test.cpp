@@ -8,8 +8,7 @@
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "core/generators.hpp"
-#include "core/protocols/admission_control.hpp"
-#include "core/protocols/uniform_sampling.hpp"
+#include "core/protocols/sampling.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace qoslb {
@@ -19,7 +18,7 @@ TEST(Runner, AlreadyStableTakesZeroRounds) {
   const Instance inst = Instance::identical(2, 1.0, {0.5, 0.5});
   State state(inst, {0, 1});
   Xoshiro256 rng(1);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdmission);
   const EngineResult result = Engine().run(protocol, state, rng);
   EXPECT_TRUE(result.converged);
   EXPECT_TRUE(result.all_satisfied);
@@ -30,7 +29,8 @@ TEST(Runner, MaxRoundsCapsRun) {
   const Instance inst = make_herding(60);
   State state = State::all_on(inst, 0);
   Xoshiro256 rng(2);
-  UniformSampling protocol(1.0, 8);  // oscillates forever
+  SamplingProtocol protocol(SamplingProtocol::Rule::kLambda, 1.0,
+                            8);  // oscillates forever
   EngineConfig config;
   config.max_rounds = 25;
   const EngineResult result = Engine(config).run(protocol, state, rng);
@@ -43,7 +43,7 @@ TEST(Runner, TrajectoryRecordsEveryRound) {
   Xoshiro256 rng(3);
   const Instance inst = make_uniform_feasible(60, 6, 0.5, 1.0, rng);
   State state = State::all_on(inst, 0);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdmission);
   EngineConfig config;
   config.record_trajectory = true;
   const EngineResult result = Engine(config).run(protocol, state, rng);
@@ -59,7 +59,7 @@ TEST(Runner, StuckEquilibriumReportedConvergedNotSatisfied) {
   const Instance inst = Instance::identical(2, 1.0, {1.0, 1.0, 1.0});
   State state(inst, {0, 0, 1});
   Xoshiro256 rng(4);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdmission);
   const EngineResult result = Engine().run(protocol, state, rng);
   EXPECT_TRUE(result.converged);
   EXPECT_FALSE(result.all_satisfied);
@@ -72,7 +72,7 @@ TEST(Runner, FinalSatisfiedMatchesState) {
   Xoshiro256 rng(5);
   const Instance inst = make_uniform_feasible(40, 4, 0.5, 1.0, rng);
   State state = State::random(inst, rng);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdmission);
   const EngineResult result = Engine().run(protocol, state, rng);
   EXPECT_EQ(result.final_satisfied, state.count_satisfied());
 }
@@ -83,7 +83,7 @@ TEST(Trace, RecordsRoundZeroSnapshot) {
   Xoshiro256 rng(6);
   const Instance inst = make_uniform_feasible(30, 3, 0.5, 1.0, rng);
   State state = State::all_on(inst, 0);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdmission);
   obs::MemoryTraceSink sink;
   EngineConfig config;
   config.telemetry.sink = &sink;
@@ -106,7 +106,7 @@ TEST(Trace, StopsImmediatelyWhenStable) {
   const Instance inst = Instance::identical(2, 1.0, {0.5, 0.5});
   State state(inst, {0, 1});
   Xoshiro256 rng(8);
-  AdmissionControl protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdmission);
   obs::MemoryTraceSink sink;
   EngineConfig config;
   config.telemetry.sink = &sink;
@@ -122,7 +122,7 @@ TEST(Aggregate, DeterministicAndComplete) {
     Xoshiro256 rng(seed);
     const Instance inst = make_uniform_feasible(50, 5, 0.5, 1.0, rng);
     State state = State::random(inst, rng);
-    AdmissionControl protocol;
+    SamplingProtocol protocol(SamplingProtocol::Rule::kAdmission);
     ReplicatedRun run;
     run.result = Engine().run(protocol, state, rng);
     run.num_users = inst.num_users();

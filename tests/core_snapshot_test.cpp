@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/protocols/adaptive_sampling.hpp"
+#include "core/protocols/sampling.hpp"
 #include "core/snapshot.hpp"
 #include "net/generators.hpp"
 #include "qoslb.hpp"
@@ -196,6 +196,38 @@ TEST(Snapshot, SaveSnapshotRoundTripsValueExactly) {
   EXPECT_EQ(restored.protocol_state, snapshot.protocol_state);
 }
 
+// Only adaptive keeps state across rounds, so only its checkpoint carries a
+// protocol block. KillRestore round-trips whatever is written, so it would
+// not notice a protocol that wrote empty intent blocks for every kind.
+TEST(Snapshot, OnlyAdaptiveCarriesProtocolState) {
+  const Instance instance = test_instance(1200, 24);
+  const Graph ring = make_ring(24);
+  std::size_t kinds = 0;
+  for (const ProtocolInfo& info : protocol_registry()) {
+    if (!info.traits.sharded) continue;
+    ++kinds;
+    ProtocolSpec spec;
+    spec.kind = info.name;
+    spec.lambda = 0.5;
+    spec.graph = &ring;
+    const auto protocol = make_protocol(spec);
+    State state = State::all_on(instance, 0);
+    EngineConfig config;
+    config.max_rounds = 300;
+    config.churn = test_plan();  // pending events veto early convergence
+    Xoshiro256 rng(77);
+    const SnapshotV1 snapshot =
+        Engine(config).save_snapshot(*protocol, state, rng, 2);
+    if (info.name == "adaptive") {
+      EXPECT_EQ(snapshot.protocol_state.rfind("last_intents", 0), 0u)
+          << snapshot.protocol_state;
+    } else {
+      EXPECT_EQ(snapshot.protocol_state, "") << info.name;
+    }
+  }
+  EXPECT_EQ(kinds, sharded_cases().size());
+}
+
 TEST(Snapshot, SaveSnapshotRejectsUnreachableRound) {
   const Instance instance = test_instance(200, 8);
   State state = State::all_on(instance, 0);
@@ -353,11 +385,11 @@ TEST(Snapshot, ReaderRejectsHugeCountsAsInvalidArgument) {
 
 TEST(Snapshot, AdaptiveStateRejectsHugeCountsAsInvalidArgument) {
   for (const char* count : {"4611686018427387904", "1099511627776"}) {
-    AdaptiveSampling protocol;
+    SamplingProtocol protocol(SamplingProtocol::Rule::kAdaptive);
     std::istringstream in(std::string("last_intents ") + count + "\n3\n");
     EXPECT_THROW(protocol.snapshot_read(in), std::invalid_argument) << count;
   }
-  AdaptiveSampling protocol;
+  SamplingProtocol protocol(SamplingProtocol::Rule::kAdaptive);
   std::istringstream valid("last_intents 2\n3\n0\nprev_intents 0\n");
   EXPECT_NO_THROW(protocol.snapshot_read(valid));
 }
@@ -396,6 +428,37 @@ TEST(Snapshot, ResumeRejectsProtocolMismatch) {
   State resumed_state = snapshot.make_state(resumed_instance);
   EXPECT_THROW(Engine(config).resume(*other, snapshot, resumed_state),
                std::invalid_argument);
+}
+
+// The nbr-* names encode k as the other kinds do, so a k = 3 checkpoint
+// cannot resume under a k = 1 protocol: with both named
+// "nbr-uniform(lambda=0.5)" it resumed without error and diverged.
+TEST(Snapshot, ResumeRejectsNbrCheckpointWithAnotherProbeCount) {
+  const Instance instance = test_instance(2000, 16);
+  const Graph ring = make_ring(16);
+  for (const char* kind : {"nbr-uniform", "nbr-admission"}) {
+    ProtocolSpec spec;
+    spec.kind = kind;
+    spec.lambda = 0.5;
+    spec.probes = 3;
+    spec.graph = &ring;
+    const auto protocol = make_protocol(spec);
+    State state = State::all_on(instance, 0);
+    EngineConfig config;
+    config.max_rounds = 100;
+    config.churn = test_plan();  // pending events veto early convergence
+    Xoshiro256 rng(9);
+    const SnapshotV1 snapshot =
+        Engine(config).save_snapshot(*protocol, state, rng, 2);
+
+    spec.probes = 1;
+    const auto single_probe = make_protocol(spec);
+    const Instance resumed_instance = snapshot.make_instance();
+    State resumed_state = snapshot.make_state(resumed_instance);
+    EXPECT_THROW(Engine(config).resume(*single_probe, snapshot, resumed_state),
+                 std::invalid_argument)
+        << kind;
+  }
 }
 
 TEST(Snapshot, ResumeRejectsMismatchedState) {

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/io/instance_io.hpp"
-#include "core/protocols/adaptive_sampling.hpp"
+#include "core/protocols/sampling.hpp"
 #include "core/snapshot.hpp"
 #include "qoslb.hpp"
 #include "rng/round_rng.hpp"
@@ -155,7 +155,7 @@ TEST(TextFuzz, StateV1) {
 TEST(TextFuzz, AdaptiveProtocolBlock) {
   ASSERT_FALSE(texts().adaptive_block.empty());
   fuzz(9, texts().adaptive_block, [](std::istream& in) {
-    AdaptiveSampling protocol;
+    SamplingProtocol protocol(SamplingProtocol::Rule::kAdaptive);
     protocol.snapshot_read(in);
   });
 }

@@ -49,6 +49,29 @@ TEST(Cli, NegativeCountFlagsFailNamingTheFlag) {
   }
 }
 
+// --probes is a count in [1, INT_MAX] whose refusal names the flag. It was
+// read as a 64-bit integer and cast to int, so --probes=4294967297 ran one
+// probe and exited 0, and --probes=0 failed naming a source line.
+TEST(Cli, ProbeCountOutOfRangeFailsNamingTheFlag) {
+  const std::string run = "--n=50 --m=4 --reps=1 ";
+  const struct {
+    std::string flags;
+    std::string message;
+  } cases[] = {
+      {run + "--probes=0", "qoslb: --probes must be in [1, 2147483647], got 0"},
+      {run + "--probes=-1", "qoslb: --probes must be non-negative, got -1"},
+      {run + "--probes=4294967297",
+       "qoslb: --probes must be in [1, 2147483647], got 4294967297"},
+  };
+  for (const auto& c : cases) {
+    const CliRun result = run_binary(QOSLB_CLI_PATH, c.flags);
+    EXPECT_EQ(result.status, 1) << c.flags << '\n' << result.output;
+    EXPECT_NE(result.output.find(c.message), std::string::npos)
+        << c.flags << '\n' << result.output;
+  }
+  EXPECT_EQ(run_binary(QOSLB_CLI_PATH, run + "--probes=3").status, 0);
+}
+
 // qoslb-chaos reads its --threads list through ArgParser::get_count_list,
 // so a bad entry names the flag (it printed a bare "bad integer in list").
 // It refuses before writing anything, and exits 2 on every error.

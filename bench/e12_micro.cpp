@@ -6,7 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/generators.hpp"
@@ -60,30 +62,35 @@ void BM_UserStreamScalar(benchmark::State& state) {
 BENCHMARK(BM_UserStreamScalar);
 
 // The batch call over the same ids, then the same two draws per engine
-// (the AVX2 kernel's precomputed pair; the scalar kernel's engines compute
-// them as they draw). Arg: the kernel's lanes, 1 (scalar) or 4 (AVX2,
-// skipped where the CPU lacks it).
+// (the SIMD kernels' precomputed pair; the scalar kernel's engines compute
+// them as they draw). The ids go in RoundRng::kChunk at a time into one
+// chunk of engines, as RoundRng::for_each_stream() keys them. Arg: the
+// kernel's lanes, 1 (scalar), 4 (AVX2) or 8 (AVX-512), each skipped where
+// the CPU does not run it.
 void BM_UserStreamsBatch(benchmark::State& state) {
   const auto kernel = static_cast<RoundRng::Keying>(state.range(0));
-  if (kernel == RoundRng::Keying::kAvx2 &&
-      RoundRng::host_keying() != RoundRng::Keying::kAvx2) {
-    state.SkipWithError("this CPU lacks AVX2");
+  if (!RoundRng::supported(kernel)) {
+    state.SkipWithError("this CPU does not run the kernel");
     return;
   }
   const RoundRng streams(42, 7);
   const std::vector<std::uint32_t> users = ascending_users();
-  std::vector<PhiloxEngine> engines(users.size(), streams.user_stream(0));
+  std::vector<PhiloxEngine> engines(RoundRng::kChunk, streams.user_stream(0));
   for (auto _ : state) {
-    streams.user_streams(users, engines.data(), kernel);
-    for (PhiloxEngine& rng : engines) {
-      benchmark::DoNotOptimize(rng());
-      benchmark::DoNotOptimize(rng());
+    for (std::size_t at = 0; at < users.size(); at += RoundRng::kChunk) {
+      const std::span<const std::uint32_t> chunk(
+          users.data() + at, std::min(RoundRng::kChunk, users.size() - at));
+      streams.user_streams(chunk, engines.data(), kernel);
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        benchmark::DoNotOptimize(engines[i]());
+        benchmark::DoNotOptimize(engines[i]());
+      }
     }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(users.size()));
 }
-BENCHMARK(BM_UserStreamsBatch)->Arg(1)->Arg(4);
+BENCHMARK(BM_UserStreamsBatch)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_UniformBelow(benchmark::State& state) {
   Xoshiro256 rng(1);

@@ -16,8 +16,8 @@ HybridEpsilonGreedy::HybridEpsilonGreedy(double migrate_prob, double epsilon)
 }
 
 std::string HybridEpsilonGreedy::name() const {
-  return "hybrid(lambda=" + format_double(migrate_prob_, 3) +
-         ",eps=" + format_double(epsilon_, 3) + ")";
+  return "hybrid(lambda=" + format_exact(migrate_prob_) +
+         ",eps=" + format_exact(epsilon_) + ")";
 }
 
 void HybridEpsilonGreedy::step(State& state, Xoshiro256& rng,

@@ -346,11 +346,15 @@ class ShardedRound {
     snapshot_ = state_->loads();
     const std::size_t num_shards = std::max<std::size_t>(
         1, (users.size() + shard_size_ - 1) / shard_size_);
-    // Reuse the staging buffers' capacity across rounds: clear the vectors
-    // in place instead of destroying them, so steady-state rounds allocate
-    // nothing in the fan-out path.
-    shards_.resize(num_shards);
-    if (decisions_on_) decision_shards_.resize(num_shards);
+    // Reuse the staging buffers across rounds: the shard vector only grows,
+    // to the most shards a round has used, so a round with fewer shards
+    // keeps the others' capacity for a later one. Buffers past this round's
+    // shards stay empty.
+    if (shards_.size() < num_shards) {
+      shards_.resize(num_shards);
+      shard_counters_.resize(num_shards);
+      if (decisions_on_) decision_shards_.resize(num_shards);
+    }
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       MigrationBuffer& shard = shards_[i];
       shard.requests.clear();
@@ -365,7 +369,7 @@ class ShardedRound {
         shard.decisions = nullptr;
       }
     }
-    shard_counters_.assign(num_shards, Counters{});
+    std::fill(shard_counters_.begin(), shard_counters_.end(), Counters{});
     const auto run_shard = [&](std::size_t s) {
       const std::size_t begin = s * shard_size_;
       const std::size_t end = std::min(users.size(), begin + shard_size_);

@@ -19,7 +19,7 @@ void BerenbrinkBalancing::step_users(const State& state,
   // assignment array directly.
   const ResourceId* assignment = state.assignment().data();
   const int* thresholds = state.current_thresholds().data();
-  for_each_acting_user(*this, state, snapshot, users, count, streams,
+  for_each_acting_user(*this, state, snapshot, users, count, out, streams,
                        [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
     const auto [r, threshold] = sample_reachable(state, u, rng);

@@ -16,7 +16,7 @@ CachedSampling::CachedSampling(double migrate_prob, std::uint32_t ttl_rounds)
 }
 
 std::string CachedSampling::name() const {
-  return "cached(lambda=" + format_double(migrate_prob_, 3) +
+  return "cached(lambda=" + format_exact(migrate_prob_) +
          ",ttl=" + std::to_string(ttl_) + ")";
 }
 

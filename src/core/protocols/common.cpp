@@ -43,11 +43,18 @@ void apply_all(BasicState<Model>& state,
 }
 
 template <typename Model>
+void resident_min_thresholds(const BasicState<Model>& state,
+                             std::vector<typename Model::Load>& out) {
+  out.resize(state.num_resources());
+  for (ResourceId r = 0; r < state.num_resources(); ++r)
+    out[r] = state.satisfied_resident_min(r);
+}
+
+template <typename Model>
 std::vector<typename Model::Load> resident_min_thresholds(
     const BasicState<Model>& state) {
-  std::vector<typename Model::Load> min_threshold(state.num_resources());
-  for (ResourceId r = 0; r < state.num_resources(); ++r)
-    min_threshold[r] = state.satisfied_resident_min(r);
+  std::vector<typename Model::Load> min_threshold;
+  resident_min_thresholds(state, min_threshold);
   return min_threshold;
 }
 
@@ -73,7 +80,8 @@ void apply_with_admission(BasicState<Model>& state,
   state.enable_satisfaction_tracking();
   // Taken before any grant moves a user: the gate protects the residents
   // satisfied at the round boundary.
-  const std::vector<Load> resident_min = resident_min_thresholds(state);
+  thread_local std::vector<Load> resident_min;
+  resident_min_thresholds(state, resident_min);
 
   // Group requests by target with a counting pass. After the scatter,
   // group_end[r] is the end of r's group and the start of r + 1's.
@@ -131,5 +139,8 @@ template void apply_with_admission(WeightedState&,
 template std::vector<int> resident_min_thresholds(const State&);
 template std::vector<std::int64_t> resident_min_thresholds(
     const WeightedState&);
+template void resident_min_thresholds(const State&, std::vector<int>&);
+template void resident_min_thresholds(const WeightedState&,
+                                      std::vector<std::int64_t>&);
 
 }  // namespace qoslb

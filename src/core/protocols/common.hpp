@@ -74,15 +74,23 @@ std::span<const UserId> unsatisfied_prefilter(
 /// users[0..count) otherwise. Their streams are keyed RoundRng::kChunk at a
 /// time by RoundRng::user_streams() into a stack buffer, and each draws what
 /// user_stream(u) would, so the keying path cannot move a realization.
+/// Each acting user requests at most once, so from a buffer's second round
+/// on `out.requests` first reserves room for all of them: a later round
+/// allocates there only when its acting set outgrows the buffer. The first
+/// round grows the buffer by its requests alone; reserving every shard's
+/// bound up front took perfbench's admission-restricted set-up 50% slower
+/// (docs/performance.md, "The AVX-512 kernel").
 template <typename Body>
 void for_each_acting_user(const Protocol& protocol, const State& state,
                           const std::vector<int>& load_snapshot,
                           const UserId* users, std::size_t count,
-                          const RoundRng& streams, Body&& body) {
+                          MigrationBuffer& out, const RoundRng& streams,
+                          Body&& body) {
   const std::span<const UserId> acting =
       protocol.active_set_compatible()
           ? unsatisfied_prefilter(state, load_snapshot, users, count)
           : std::span<const UserId>(users, count);
+  if (out.requests.capacity() != 0) out.requests.reserve(acting.size());
   streams.for_each_stream(acting, body);
 }
 
@@ -130,5 +138,11 @@ void apply_with_admission(BasicState<Model>& state,
 template <typename Model>
 std::vector<typename Model::Load> resident_min_thresholds(
     const BasicState<Model>& state);
+
+/// The same minima written into `out` (resized to num_resources()), which
+/// keeps its capacity across calls.
+template <typename Model>
+void resident_min_thresholds(const BasicState<Model>& state,
+                             std::vector<typename Model::Load>& out);
 
 }  // namespace qoslb

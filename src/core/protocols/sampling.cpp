@@ -37,7 +37,7 @@ std::string SamplingProtocol::name() const {
   if (graph_ != nullptr) kind = "nbr-" + kind;
   std::string params;
   if (rule_ == Rule::kLambda)
-    params = "lambda=" + format_double(migrate_prob_, 3);
+    params = "lambda=" + format_exact(migrate_prob_);
   if (probes_ != 1)
     params += (params.empty() ? "k=" : ",k=") + std::to_string(probes_);
   return params.empty() ? kind : kind + "(" + params + ")";
@@ -120,7 +120,7 @@ void SamplingProtocol::decide_sampled(Candidates candidates, const State& state,
   // Branchless SoA pass first, probe loop only over the survivors — the
   // per-user draws and append order match the historical inline prefilter
   // bit-for-bit (unsatisfied_prefilter contract).
-  for_each_acting_user(*this, state, snapshot, users, count, streams,
+  for_each_acting_user(*this, state, snapshot, users, count, out, streams,
                        [&](UserId u, PhiloxEngine& rng) {
     const ResourceId current = assignment[u];
     ResourceId best = kNoResource;
@@ -174,12 +174,14 @@ void SamplingProtocol::commit_round(State& state,
     return;
   }
   if (rule_ == Rule::kAdaptive) {
-    std::vector<std::uint32_t> intents(state.num_resources(), 0);
+    // Roll the window: round t-1's intents become round t-2's, and the
+    // storage of the old t-2 window takes this round's, so once both
+    // windows are sized the roll allocates nothing.
+    std::swap(prev_intents_, last_intents_);
+    last_intents_.assign(state.num_resources(), 0);
     for (const MigrationBuffer& shard : shards)
       for (std::size_t r = 0; r < shard.resource_tallies.size(); ++r)
-        intents[r] += shard.resource_tallies[r];
-    prev_intents_ = std::move(last_intents_);
-    last_intents_ = std::move(intents);
+        last_intents_[r] += shard.resource_tallies[r];
   }
   Protocol::commit_round(state, shards, counters);  // apply every request
 }

@@ -62,7 +62,9 @@ class SamplingProtocol : public Protocol {
                             const Graph* graph = nullptr);
 
   /// The registry kind with its parameters: "uniform(lambda=0.5,k=3)",
-  /// "adaptive", "nbr-admission(k=3)"; k is omitted when it is 1.
+  /// "adaptive", "nbr-admission(k=3)"; k is omitted when it is 1, and λ is
+  /// printed exactly (format_exact), so a checkpoint resumes only under the
+  /// λ it was taken at.
   std::string name() const override;
 
   /// Under kAdaptive, also tallies this shard's migration intents into

@@ -128,10 +128,12 @@ class SatisfactionIndex {
 
   /// The currently unsatisfied users, ascending, written into a buffer the
   /// index owns: the reference stays valid, and its contents fixed, until
-  /// the next call. Moves do not touch it.
+  /// the next call. Moves do not touch it. The buffer reserves room for
+  /// every user once, so a call whose set outgrows every earlier one does
+  /// not allocate.
   const std::vector<UserId>& unsatisfied() {
     view_.clear();
-    view_.reserve(unsat_count_);
+    view_.reserve(num_users_);
     for_each_unsatisfied([this](UserId u) {
       view_.push_back(u);
       return true;

@@ -42,7 +42,7 @@ WeightedUniformSampling::WeightedUniformSampling(double migrate_prob)
 }
 
 std::string WeightedUniformSampling::name() const {
-  return "w-uniform(lambda=" + format_double(migrate_prob_, 3) + ")";
+  return "w-uniform(lambda=" + format_exact(migrate_prob_) + ")";
 }
 
 void WeightedUniformSampling::step(WeightedState& state, Xoshiro256& rng,

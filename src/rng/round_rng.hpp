@@ -24,9 +24,9 @@ namespace qoslb {
 /// every stream is keyed this way.
 class RoundRng {
  public:
-  /// The batch keying kernels behind user_streams(), each valued by the
-  /// users it keys per step.
-  enum class Keying { kScalar = 1, kAvx2 = 4 };
+  /// The batch keying kernels behind user_streams(), each valued by its
+  /// lanes: the users one register keys.
+  enum class Keying { kScalar = 1, kAvx2 = 4, kAvx512 = 8 };
 
   /// Users keyed per user_streams() call by for_each_stream(): 256 engines
   /// are about 10 KB of stack.
@@ -45,9 +45,11 @@ class RoundRng {
 
   /// Writes user_stream(users[i]) to out[i] for every i. `kernel` kAvx2
   /// also computes each engine's first two outputs (the probe and the
-  /// λ-coin of a one-probe decision), four users per step in AVX2 lanes; it
-  /// falls back to kScalar where the CPU lacks AVX2. kScalar keys each
-  /// engine as user_stream() does. Both give the same draws bit for bit.
+  /// λ-coin of a one-probe decision), four users per step in AVX2 lanes;
+  /// kAvx512 does the same in AVX-512 lanes, eight users per register, and
+  /// derives the keys in lanes too. A kernel the CPU does not run
+  /// (supported()) falls back to kScalar, which keys each engine as
+  /// user_stream() does. All three give the same draws bit for bit.
   void user_streams(std::span<const std::uint32_t> users, PhiloxEngine* out,
                     Keying kernel = host_keying()) const;
 
@@ -66,19 +68,26 @@ class RoundRng {
     }
   }
 
-  /// The widest kernel this CPU runs: kAvx2 on an x86-64 host with AVX2,
-  /// else kScalar. Read from the CPU once per process.
+  /// Whether this CPU runs `kernel`: kScalar everywhere, kAvx2 on an x86-64
+  /// host with AVX2, kAvx512 on one with AVX-512F, DQ and VL. Read from the
+  /// CPU once per process.
+  static bool supported(Keying kernel);
+
+  /// The widest kernel this CPU runs: kAvx512, else kAvx2, else kScalar.
   static Keying host_keying();
 
   std::uint64_t round_key() const { return round_key_; }
 
  private:
-  // The two kernels (round_rng.cpp).
+  // The three kernels (round_rng.cpp).
   static void key_scalar(std::uint64_t round_key,
                          std::span<const std::uint32_t> users,
                          PhiloxEngine* out);
   static void key_avx2(std::uint64_t round_key,
                        std::span<const std::uint32_t> users, PhiloxEngine* out);
+  static void key_avx512(std::uint64_t round_key,
+                         std::span<const std::uint32_t> users,
+                         PhiloxEngine* out);
 
   std::uint64_t round_key_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -44,6 +45,13 @@ std::string format_double(double value, int digits) {
     s = buf;
   }
   return s;
+}
+
+std::string format_exact(double value) {
+  char buf[64];
+  const auto result =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general);
+  return std::string(buf, result.ptr);
 }
 
 bool starts_with(std::string_view text, std::string_view prefix) {

@@ -16,6 +16,11 @@ std::string_view trim(std::string_view text);
 /// representation to stay table-friendly ("12.346", "0.001", "1e-09").
 std::string format_double(double value, int digits = 4);
 
+/// The shortest decimal that reads back as exactly `value`, in printf's %g
+/// style ("0.5", "0.05", "1e-05", "0.5000001"). For a value of at most six
+/// significant digits it prints what format_double(value, 3) does.
+std::string format_exact(double value);
+
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 

@@ -461,6 +461,32 @@ TEST(Snapshot, ResumeRejectsNbrCheckpointWithAnotherProbeCount) {
   }
 }
 
+// A lambda kind's name carries lambda exactly, so a checkpoint taken at
+// lambda = 0.5000001 does not resume under lambda = 0.5 (six significant
+// digits named both "uniform(lambda=0.5)").
+TEST(Snapshot, ResumeRejectsCheckpointWithANearbyLambda) {
+  const Instance instance = test_instance(2000, 16);
+  ProtocolSpec spec;
+  spec.kind = "uniform";
+  spec.lambda = 0.5000001;
+  const auto protocol = make_protocol(spec);
+  State state = State::all_on(instance, 0);
+  EngineConfig config;
+  config.max_rounds = 100;
+  config.churn = test_plan();  // pending events veto early convergence
+  Xoshiro256 rng(9);
+  const SnapshotV1 snapshot =
+      Engine(config).save_snapshot(*protocol, state, rng, 2);
+  EXPECT_EQ(snapshot.protocol, "uniform(lambda=0.5000001)");
+
+  spec.lambda = 0.5;
+  const auto rounded = make_protocol(spec);
+  const Instance resumed_instance = snapshot.make_instance();
+  State resumed_state = snapshot.make_state(resumed_instance);
+  EXPECT_THROW(Engine(config).resume(*rounded, snapshot, resumed_state),
+               std::invalid_argument);
+}
+
 TEST(Snapshot, ResumeRejectsMismatchedState) {
   const Instance instance = test_instance(300, 8);
   State state = State::all_on(instance, 0);

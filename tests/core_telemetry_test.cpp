@@ -249,11 +249,12 @@ TEST(Telemetry, MetricsMirrorTheRunCounters) {
   EXPECT_EQ(counter("trace/rows"), 0u);  // no sink attached
   EXPECT_EQ(metrics.gauge_value(metrics.find_gauge("engine/threads")),
             static_cast<double>(result.threads_used));
-  // Which keying kernel the host ran: 4 lanes for AVX2, 1 for scalar.
+  // Which keying kernel the host ran: 8 lanes for AVX-512, 4 for AVX2, 1
+  // for scalar.
   const double lanes =
       metrics.gauge_value(metrics.find_gauge("rng/keying_lanes"));
   EXPECT_EQ(lanes, static_cast<double>(RoundRng::host_keying()));
-  EXPECT_TRUE(lanes == 1.0 || lanes == 4.0) << lanes;
+  EXPECT_TRUE(lanes == 1.0 || lanes == 4.0 || lanes == 8.0) << lanes;
   EXPECT_EQ(metrics.gauge_value(metrics.find_gauge("state/unsatisfied")), 0.0);
   EXPECT_EQ(metrics.gauge_value(metrics.find_gauge("state/potential")),
             rosenthal_potential(state));

@@ -160,11 +160,19 @@ TEST(RoundRng, HostKeyingFollowsTheCpu) {
 #if defined(__x86_64__)
   __builtin_cpu_init();
   const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  const bool avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+                      __builtin_cpu_supports("avx512dq") != 0 &&
+                      __builtin_cpu_supports("avx512vl") != 0;
 #else
   const bool avx2 = false;
+  const bool avx512 = false;
 #endif
-  EXPECT_EQ(RoundRng::host_keying(),
-            avx2 ? RoundRng::Keying::kAvx2 : RoundRng::Keying::kScalar);
+  EXPECT_TRUE(RoundRng::supported(RoundRng::Keying::kScalar));
+  EXPECT_EQ(RoundRng::supported(RoundRng::Keying::kAvx2), avx2);
+  EXPECT_EQ(RoundRng::supported(RoundRng::Keying::kAvx512), avx512);
+  EXPECT_EQ(RoundRng::host_keying(), avx512 ? RoundRng::Keying::kAvx512
+                                     : avx2 ? RoundRng::Keying::kAvx2
+                                            : RoundRng::Keying::kScalar);
 }
 
 /// user_streams() through `kernel`, into engines that start as copies of
@@ -178,13 +186,12 @@ std::vector<PhiloxEngine> batch_streams(const RoundRng& streams,
   return out;
 }
 
-/// Both batch kernels; the AVX2 one only where this CPU runs it.
+/// All three batch kernels, each only where this CPU runs it.
 class KeyingKernel : public ::testing::TestWithParam<RoundRng::Keying> {
  protected:
   void SetUp() override {
-    if (GetParam() == RoundRng::Keying::kAvx2 &&
-        RoundRng::host_keying() != RoundRng::Keying::kAvx2)
-      GTEST_SKIP() << "this CPU lacks AVX2";
+    if (!RoundRng::supported(GetParam()))
+      GTEST_SKIP() << "this CPU does not run the kernel";
   }
 };
 
@@ -203,9 +210,12 @@ TEST_P(KeyingKernel, EveryEngineDrawsWhatUserStreamDraws) {
       EXPECT_EQ(batch[i].position(), scalar.position());
     }
   };
+  // Lengths 0-33 take every masked tail of the AVX-512 kernel (1-15 users,
+  // alone and after a full step of 16), every scalar tail of the AVX2
+  // kernel (1-3) and up to two full steps of each.
   for (int trial = 0; trial < 16; ++trial) {
     const RoundRng streams(pick(), pick());
-    for (std::size_t length = 0; length <= 9; ++length) {
+    for (std::size_t length = 0; length <= 33; ++length) {
       std::vector<std::uint32_t> users(length);
       for (std::uint32_t& u : users) u = static_cast<std::uint32_t>(pick());
       expect_same(streams, users);
@@ -215,31 +225,44 @@ TEST_P(KeyingKernel, EveryEngineDrawsWhatUserStreamDraws) {
 }
 
 // A bound of 2^63 + 1 makes Lemire's method reject about half of all draws,
-// so many engines read past the two precomputed outputs mid-call.
+// so many engines read past the two precomputed outputs mid-call. Every list
+// length from 0 to 33 puts such engines in full steps and in masked tails.
 TEST_P(KeyingKernel, RejectionAndBernoulliContinueTheSameStream) {
   const RoundRng streams(2024, 3);
-  std::vector<std::uint32_t> users(64);
-  std::iota(users.begin(), users.end(), 1000u);
-  std::vector<PhiloxEngine> batch = batch_streams(streams, users, GetParam());
   const std::uint64_t bound = (std::uint64_t{1} << 63) + 1;
   std::size_t past_head = 0;
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    PhiloxEngine scalar = streams.user_stream(users[i]);
-    EXPECT_EQ(uniform_u64_below(batch[i], bound),
-              uniform_u64_below(scalar, bound));
-    EXPECT_EQ(batch[i].position(), scalar.position());
-    if (batch[i].position() > 1) ++past_head;
-    EXPECT_EQ(bernoulli(batch[i], 0.3), bernoulli(scalar, 0.3));
-    EXPECT_EQ(batch[i].position(), scalar.position());
+  for (std::size_t length = 0; length <= 33; ++length) {
+    std::vector<std::uint32_t> users(length);
+    std::iota(users.begin(), users.end(), 1000u + 64u * length);
+    std::vector<PhiloxEngine> batch = batch_streams(streams, users, GetParam());
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      SCOPED_TRACE("user " + std::to_string(i) + " of " +
+                   std::to_string(length));
+      PhiloxEngine scalar = streams.user_stream(users[i]);
+      EXPECT_EQ(uniform_u64_below(batch[i], bound),
+                uniform_u64_below(scalar, bound));
+      EXPECT_EQ(batch[i].position(), scalar.position());
+      if (batch[i].position() > 1) ++past_head;
+      EXPECT_EQ(bernoulli(batch[i], 0.3), bernoulli(scalar, 0.3));
+      EXPECT_EQ(batch[i].position(), scalar.position());
+    }
   }
   EXPECT_GT(past_head, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Rng, KeyingKernel,
-    ::testing::Values(RoundRng::Keying::kScalar, RoundRng::Keying::kAvx2),
+    ::testing::Values(RoundRng::Keying::kScalar, RoundRng::Keying::kAvx2,
+                      RoundRng::Keying::kAvx512),
     [](const ::testing::TestParamInfo<RoundRng::Keying>& kernel) {
-      return kernel.param == RoundRng::Keying::kAvx2 ? "Avx2" : "Scalar";
+      switch (kernel.param) {
+        case RoundRng::Keying::kAvx2:
+          return "Avx2";
+        case RoundRng::Keying::kAvx512:
+          return "Avx512";
+        default:
+          return "Scalar";
+      }
     });
 
 TEST(RoundRng, ForEachStreamKeysEveryUserInOrderAcrossChunks) {

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "rng/round_rng.hpp"
+#include "text_mutator.hpp"
 #include "tools/report/report.hpp"
 #include "util/json.hpp"
 
@@ -204,6 +208,59 @@ TEST(Report, CleanArtifactsGateAtZero) {
   EXPECT_EQ(exit_code(report), 0);
   const std::string markdown = render_markdown(report);
   EXPECT_NE(markdown.find("Verdict: CLEAN (exit 0)"), std::string::npos);
+}
+
+/// `text` with a space after every ':' and ',', which keeps JSON valid and
+/// makes each number a whitespace-delimited token the mutator can swap.
+std::string spaced(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    out += c;
+    if (c == ':' || c == ',') out += ' ';
+  }
+  return out;
+}
+
+// Seeded mutation fuzz of the JSONL ingest (tests/text_mutator.hpp). Every
+// file in report_fixtures, as written and spaced, is mutated and ingested
+// next to the clean fixture set; the contract is that malformed lines
+// append SchemaIssues and nothing throws, in the ingest or in any render.
+TEST(ReportFuzz, MutatedFixturesIngestAndRenderWithoutThrowing) {
+  constexpr std::uint64_t kMutants = 150;
+  constexpr std::uint64_t kFuzzSeed = 0x5245504F5254;  // "REPORT"
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(QOSLB_REPORT_FIXTURES_DIR))
+    names.push_back(entry.path().filename().string());
+  std::sort(names.begin(), names.end());
+  ASSERT_GE(names.size(), 7u);
+  std::uint64_t drifted = 0;
+  std::uint64_t mutants = 0;
+  for (std::size_t f = 0; f < names.size(); ++f) {
+    const std::string text = read_file(fixture_path(names[f]));
+    for (const bool space : {false, true}) {
+      const RoundRng streams(kFuzzSeed, 2 * f + (space ? 1 : 0));
+      for (std::uint64_t i = 0; i < kMutants; ++i) {
+        PhiloxEngine rng = streams.user_stream(i);
+        const std::string mutant = mutate(space ? spaced(text) : text, rng);
+        SCOPED_TRACE(names[f] + (space ? " spaced" : "") + ", mutant " +
+                     std::to_string(i));
+        Report report = full_fixture_report();
+        const std::size_t clean_issues = report.schema_issues.size();
+        ASSERT_NO_THROW({
+          ingest_text(names[f], mutant, report);
+          render_markdown(report);
+          render_json(report);
+          const int code = exit_code(report);
+          EXPECT_TRUE(code >= 0 && code <= 2) << code;
+        });
+        ++mutants;
+        if (report.schema_issues.size() > clean_issues) ++drifted;
+      }
+    }
+  }
+  EXPECT_GT(drifted, 0u);
+  EXPECT_LT(drifted, mutants);
 }
 
 }  // namespace

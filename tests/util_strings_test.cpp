@@ -65,6 +65,24 @@ TEST(FormatDouble, RejectsBadDigitCounts) {
   EXPECT_THROW(format_double(1.0, 18), std::invalid_argument);
 }
 
+TEST(FormatExact, ReadsBackAsTheSameDouble) {
+  for (const double value : {0.5000001, 0.1, 1.0 / 3.0, 1e-300, 0.05, 1.0}) {
+    const std::string text = format_exact(value);
+    EXPECT_EQ(std::stod(text), value) << text;
+  }
+  EXPECT_EQ(format_exact(0.5000001), "0.5000001");
+}
+
+// Protocol names print lambda with format_exact; on every value of at most
+// six significant digits it agrees with the format_double(value, 3) the
+// names used before, so no name of a lambda in use changed.
+TEST(FormatExact, AgreesWithFormatDoubleOnSixSignificantDigits) {
+  for (const double value : {1.0, 0.5, 0.25, 0.1, 0.05, 0.01, 0.001, 1e-4,
+                             1e-5, 0.3, 0.75, 0.123456, 0.0, 10.0, 1200.0}) {
+    EXPECT_EQ(format_exact(value), format_double(value, 3)) << value;
+  }
+}
+
 TEST(StartsWith, Basics) {
   EXPECT_TRUE(starts_with("--flag", "--"));
   EXPECT_FALSE(starts_with("-flag", "--"));
